@@ -8,9 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perturba.hamiltonians import build_linear_true, build_quartic_true
+from perturba.hamiltonians import (
+    build_linear_true,
+    build_quartic_synthetic,
+    build_quartic_true,
+    default_quartic_a2,
+)
 from perturba.iterative import IterConfig, iterate_solve, iterate_solve_all
-from perturba.linalg import SolveStatus, jacobi_diagonalize
+from perturba.linalg import SolveStatus, jacobi_diagonalize, residual_norm
+from perturba.rspt import DIVERGENCE_GUARD
 
 
 def random_dominant(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -139,12 +145,30 @@ class TestBasicBehaviour:
 
     def test_diverged_state_is_labelled_without_warnings(self):
         # the ground state of the untransformed quartic matrix diverges at
-        # dim 12; the overflow must stay inside the solver, the normalisation
-        # of the diverged column included
+        # dim 12; the guard stops it with the last column inside the bound,
+        # so its normalisation and residual stay finite
+        h = build_quartic_true(1.0, 12)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sol = iterate_solve(build_quartic_true(1.0, 12), 0)
-        assert sol.status is SolveStatus.MAX_ITERATIONS_EXCEEDED
+            sol = iterate_solve(h, 0)
+            residual = residual_norm(h, sol.energy, sol.coefficients)
+        assert sol.status is SolveStatus.ALGORITHM_FAILURE
+        assert f"{DIVERGENCE_GUARD:.1e}" in sol.detail
+        assert sol.iterations < 1000
+        assert np.all(np.isfinite(sol.normalized_coefficients))
+        assert float(np.linalg.norm(sol.normalized_coefficients)) == pytest.approx(
+            1.0, abs=1e-14
+        )
+        assert math.isfinite(residual)
+
+    def test_period_two_cycle_stops_early(self):
+        # beta 0.5 state 7 of the transformed quartic falls into an exact
+        # two-cycle with energies near -1e5 instead of running to the cap
+        h = build_quartic_synthetic(0.5, default_quartic_a2(0.5), 100)
+        sol = iterate_solve(h, 7)
+        assert sol.status is SolveStatus.ALGORITHM_FAILURE
+        assert sol.detail == f"period-2 cycle at sweep {sol.iterations}"
+        assert sol.iterations < 1000
 
     def test_iteration_cap_reported(self):
         h = np.array([[1.0, 1.0, 0.5], [1.0, 1.1, 5.0], [0.5, 5.0, 1.2]])
@@ -257,3 +281,35 @@ class TestSolveAll:
         sols = iterate_solve_all(h)
         assert [s.state for s in sols] == [0, 1, 2]
         assert all(s.converged for s in sols)
+
+    @pytest.mark.parametrize(
+        "problem, cap, failure",
+        [
+            # converged states 0-9, capped 10-21, guard-stopped 22-29
+            ("linear", 1000, f"coefficient magnitude exceeded {DIVERGENCE_GUARD:.1e}"),
+            # converged states 0-2, period-2 cycles from state 5, the rest capped
+            ("quartic", 500, "period-2 cycle at sweep "),
+        ],
+        ids=["linear", "quartic"],
+    )
+    def test_block_matches_single_state_solves(self, problem, cap, failure):
+        # the caps keep the single-state loop short while convergence, the
+        # cap and the case's failure rule all still fire.  Only converged
+        # energies are compared: a capped state's last iterate is no result,
+        # and the drift of the linear states 12-21 amplifies any rounding
+        if problem == "linear":
+            h = build_linear_true(0.5, 30)
+        else:
+            h = build_quartic_synthetic(1.0, default_quartic_a2(1.0), 100)
+        cfg = IterConfig(max_iterations=cap)
+        block = iterate_solve_all(h, cfg)
+        for k, b in enumerate(block):
+            s = iterate_solve(h, k, cfg)
+            assert b.state == k
+            assert (b.status, b.iterations, b.detail) == (s.status, s.iterations, s.detail)
+            if b.converged:
+                assert b.energy == pytest.approx(s.energy, rel=1e-12, abs=0.0)
+        statuses = {b.status for b in block}
+        assert SolveStatus.CONVERGED in statuses
+        assert SolveStatus.MAX_ITERATIONS_EXCEEDED in statuses
+        assert any(b.detail and b.detail.startswith(failure) for b in block)
