@@ -3,18 +3,13 @@
 Subcommands: linear, quartic, osc2d (benchmark runs emitting CSV), elements
 (operator table dumps) and matrix (plain-text matrix dumps).  Exit code 0
 means every requested state converged, 2 flags partial convergence, 1 is
-reserved for usage or runtime errors.  Set PERTURBA_TABLE_CACHE to a
-directory to reuse the numerically integrated element tables across calls.
+reserved for usage or runtime errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from pathlib import Path
-
-import numpy as np
 
 from .experiments import (
     ProblemInstance,
@@ -23,14 +18,9 @@ from .experiments import (
     run_instance,
     write_results_csv,
 )
-from .hamiltonians import SyntheticSpec, build_synthetic, default_quartic_a2
+from .hamiltonians import SyntheticSpec, default_quartic_a2
 from .linalg import write_matrix_text
-from .oscillator import (
-    ElementTable,
-    build_element_table,
-    cached_element_table,
-    write_table_csv,
-)
+from .oscillator import cached_element_table, write_table_csv
 
 OP_TAGS = {
     "xi": "xi",
@@ -62,22 +52,6 @@ def _beta_list(text: str) -> list[float]:
     if not values:
         raise argparse.ArgumentTypeError("empty beta list")
     return values
-
-
-def table_for(tag: str, max_n: int) -> ElementTable:
-    """Element table honoring the PERTURBA_TABLE_CACHE directory."""
-    cache_dir = os.environ.get("PERTURBA_TABLE_CACHE")
-    if not cache_dir:
-        return cached_element_table(tag, max_n)
-    path = Path(cache_dir) / f"{tag}-{max_n}.npy"
-    if path.exists():
-        values = np.load(path)
-        values.setflags(write=False)
-        return ElementTable(tag=tag, max_n=max_n, values=values)
-    table = build_element_table(tag, max_n)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.save(path, table.values)
-    return table
 
 
 def _open_out(path: str | None):
@@ -123,9 +97,6 @@ def _run_rows(args, problem: str) -> tuple[list[RunResult], int]:
 
 def _cmd_bench(args) -> int:
     problem = args.command
-    # quartic synthetic runs want the element table cache warmed first
-    if problem == "quartic" and args.a2 != "off":
-        table_for("lambda_xi3", args.dim - 1)
     results, code = _run_rows(args, problem)
     stream, owned = _open_out(args.out)
     try:
@@ -138,7 +109,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_elements(args) -> int:
     tag = OP_TAGS[args.op]
-    table = table_for(tag, args.max_n)
+    table = cached_element_table(tag, args.max_n)
     stream, owned = _open_out(args.out)
     try:
         write_table_csv(table, stream)
@@ -149,19 +120,16 @@ def _cmd_elements(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
-    beta = args.beta[0] if isinstance(args.beta, list) else args.beta
     problem = args.problem
-    transform = _parse_transform(args, problem, beta)
-    dim = args.nmax if problem == "osc2d" else args.dim
-    if problem == "quartic" and transform is not None:
-        table_for("lambda_xi3", dim - 1)
-    if transform is None:
-        instance = ProblemInstance(
-            problem=problem, beta=beta, dim=dim, method="oracle", transform=None
-        )
-        h = build_instance_matrix(instance)
-    else:
-        h = build_synthetic(transform, dim)
+    # the method plays no part in building the matrix
+    instance = ProblemInstance(
+        problem=problem,
+        beta=args.beta,
+        dim=args.nmax if problem == "osc2d" else args.dim,
+        method="iter",
+        transform=_parse_transform(args, problem, args.beta),
+    )
+    h = build_instance_matrix(instance)
     stream, owned = _open_out(args.out)
     try:
         write_matrix_text(h, stream)

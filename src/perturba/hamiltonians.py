@@ -25,13 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oscillator import (
-    ElementTable,
-    cached_element_table,
-    xi2_element,
-    xi4_element,
-    xi_element,
-)
+from .oscillator import ElementTable, cached_element_table
 
 
 class TableTooSmallError(ValueError):
@@ -40,6 +34,11 @@ class TableTooSmallError(ValueError):
 
 class StructureViolationError(ValueError):
     pass
+
+
+def _quartic_a3(beta: float) -> float:
+    """Cubic transform coefficient that cancels the quartic growth."""
+    return math.sqrt(2.0 * beta) / 3.0
 
 
 @dataclass(frozen=True)
@@ -71,17 +70,15 @@ class SyntheticSpec:
     def a3(self) -> float:
         if self.problem != "quartic":
             raise ValueError("a3 is defined for the quartic transform only")
-        return math.sqrt(2.0 * self.beta) / 3.0
+        return _quartic_a3(self.beta)
 
 
 def build_linear_true(beta: float, dim: int) -> np.ndarray:
     """H0 + beta * xi on dim states: diagonal n + 1/2, single coupling band."""
     if dim < 1:
         raise ValueError("dim must be positive")
-    h = np.diag(np.arange(dim) + 0.5)
-    for n in range(dim - 1):
-        h[n, n + 1] = h[n + 1, n] = beta * xi_element(n, n + 1)
-    return h
+    xi = cached_element_table("xi", dim - 1).values
+    return np.diag(np.arange(dim) + 0.5) + beta * xi
 
 
 def build_linear_synthetic(beta: float, a: float, dim: int) -> np.ndarray:
@@ -93,28 +90,17 @@ def build_linear_synthetic(beta: float, a: float, dim: int) -> np.ndarray:
     """
     if dim < 1:
         raise ValueError("dim must be positive")
-    h = np.zeros((dim, dim))
-    for n in range(dim):
-        h[n, n] = (n + 0.5) - 0.5 * a * a
-    for n in range(dim - 1):
-        x = xi_element(n, n + 1)
-        h[n, n + 1] = (beta + a) * x
-        h[n + 1, n] = (beta - a) * x
-    return h
+    xi = cached_element_table("xi", dim - 1).values
+    diag = np.diag(np.arange(dim) + 0.5 - 0.5 * a * a)
+    return diag + (beta + a) * np.triu(xi) + (beta - a) * np.tril(xi)
 
 
 def build_quartic_true(beta: float, dim: int) -> np.ndarray:
     """H0 + beta * xi^4 on dim states; bands at |n - m| in {0, 2, 4}."""
     if dim < 1:
         raise ValueError("dim must be positive")
-    h = np.zeros((dim, dim))
-    for n in range(dim):
-        h[n, n] = (n + 0.5) + beta * xi4_element(n, n)
-    for k in (2, 4):
-        for n in range(dim - k):
-            v = beta * xi4_element(n, n + k)
-            h[n, n + k] = h[n + k, n] = v
-    return h
+    xi4 = cached_element_table("xi4", dim - 1).values
+    return np.diag(np.arange(dim) + 0.5) + beta * xi4
 
 
 def default_quartic_a2(beta: float) -> float:
@@ -143,18 +129,12 @@ def build_quartic_synthetic(
         raise TableTooSmallError(
             f"table covers 0..{lxi3.max_n}, need 0..{dim - 1}"
         )
-    a3 = math.sqrt(2.0 * beta) / 3.0
+    a3 = _quartic_a3(beta)
     idx = np.arange(dim)
     nm = idx[:, None] - idx[None, :]
-    x2 = np.zeros((dim, dim))
-    for k in (0, 2):
-        for n in range(dim - k):
-            v = xi2_element(n, n + k)
-            x2[n, n + k] = v
-            x2[n + k, n] = v
+    x2 = cached_element_table("xi2", dim - 1).values
     l3 = lxi3.values[:dim, :dim]
-    h = np.diag(idx + 0.5) - (2.0 * a2 + nm) * a2 * x2 - (6.0 * a2 + nm) * a3 * l3
-    return h
+    return np.diag(idx + 0.5) - (2.0 * a2 + nm) * a2 * x2 - (6.0 * a2 + nm) * a3 * l3
 
 
 def a2_from_quantum_number(n: int, lxi3: ElementTable) -> float:

@@ -10,13 +10,14 @@ the closed-form root of its local quadratic:
     q = d^2 + 4 H[k, l] y[l],        d = H[k, k] - H[l, l]
     c[l] = s * y[l] / ((sqrt(q) + |d|) / 2)        if q >= 0
     c[l] = s                                       if q >= 0, denominator 0
-    c[l] = -d / (2 H[k, l])                        if q < 0, H[k, l] != 0
+    c[l] = -d / (2 H[k, l])                        if q < 0
 
 where s is the sign of d, falling back to the sign of k - l when the
-diagonal entries are effectively equal.  The whole column is recomputed from
-the committed values of the previous iteration and only committed at the end
-of the pass, so the update order within a pass does not matter.  The energy
-estimate is E = H[k, k] + sum_l H[k, l] c[l].
+diagonal entries are effectively equal.  q < 0 needs H[k, l] y[l] < 0, so
+H[k, l] != 0 wherever the vertex root -d / (2 H[k, l]) is taken.  The whole
+column is recomputed from the committed values of the previous iteration and
+only committed at the end of the pass, so the update order within a pass does
+not matter.  The energy estimate is E = H[k, k] + sum_l H[k, l] c[l].
 
 The coefficient columns of all target states are swept together as one
 block, so a sweep costs one stacked product H @ C and one pass of elementwise
@@ -26,20 +27,17 @@ column leaves the block as soon as it stops.  A column stops when
 
 1. converged: E and every coefficient pass the relative tests of IterConfig
    (CONVERGED);
-2. zero-coupling discriminant: a negative q meets a vanishing H[k, l], which
-   cannot be assigned a root (ALGORITHM_FAILURE);
-3. cycle: it failed the tests and its new column equals exactly the column
+2. cycle: it failed the tests and its new column equals exactly the column
    from two sweeps back.  The update depends only on the committed column and
    both tests are symmetric, so it would alternate unconverged until the cap
    (ALGORITHM_FAILURE);
-4. guard: a new coefficient is non-finite or exceeds rspt.DIVERGENCE_GUARD in
+3. guard: a new coefficient is non-finite or exceeds rspt.DIVERGENCE_GUARD in
    magnitude (ALGORITHM_FAILURE);
-5. cap: max_iterations sweeps have run (MAX_ITERATIONS_EXCEEDED).
+4. cap: max_iterations sweeps have run (MAX_ITERATIONS_EXCEEDED).
 
-The discriminant abort is decided before the sweep commits, and of the rest
-the first rule in this order that holds wins.  The abort and the guard keep
-the last committed column and its energy, so every reported column is
-finite; the failures carry their reason in detail.
+The first rule in this order that holds wins.  The guard keeps the last
+committed column and its energy, so every reported column is finite; the
+failures carry their reason in detail.
 
 The method is exact for 2 x 2 blocks, including degenerate diagonals, and
 callers are expected to present matrices with non-decreasing diagonals so
@@ -119,8 +117,6 @@ class _Terms:
         self.gap2 = gap * gap
         self.hk4 = 4.0 * self.hk
         self.vertex = -gap / np.where(self.hk != 0.0, 2.0 * self.hk, 1.0)
-        self.zero_coupling = self.hk == 0.0
-        self.zero_coupling[self.own] = False
 
 
 def _sweep(a: np.ndarray, states: np.ndarray, cfg: IterConfig) -> list[PerturbationSolution]:
@@ -169,7 +165,6 @@ def _sweep(a: np.ndarray, states: np.ndarray, cfg: IterConfig) -> list[Perturbat
             t1 = np.matmul(a, c[:, :, None])[:, :, 0]
             y = t.hck + (t1 - t.diag * c) - c * (hc[:, None] - t.hk * c)
             q = t.gap2 + t.hk4 * y
-            aborted = (t.zero_coupling & (q < 0.0)).any(axis=1)
             den = 0.5 * (np.sqrt(np.maximum(q, 0.0)) + t.abs_gap)
             nonzero = den != 0.0
             root = np.where(nonzero, t.sign * y / np.where(nonzero, den, 1.0), t.sign)
@@ -184,16 +179,13 @@ def _sweep(a: np.ndarray, states: np.ndarray, cfg: IterConfig) -> list[Perturbat
                 converged &= ~coeff_moved.any(axis=1)
             cycling = (new == c_two_back).all(axis=1)
             blown = ~(np.abs(new).max(axis=1) <= DIVERGENCE_GUARD)  # nan-safe
-            stop = aborted | converged | cycling | blown
+            stop = converged | cycling | blown
             if it == cfg.max_iterations:
                 stop[:] = True
 
             if stop.any():
                 for j in np.flatnonzero(stop):
-                    if aborted[j]:
-                        finish(j, c[j], energy[j], it, SolveStatus.ALGORITHM_FAILURE,
-                               "negative discriminant with zero coupling")
-                    elif converged[j]:
+                    if converged[j]:
                         finish(j, new[j], new_energy[j], it, SolveStatus.CONVERGED)
                     elif cycling[j]:
                         finish(j, new[j], new_energy[j], it, SolveStatus.ALGORITHM_FAILURE,

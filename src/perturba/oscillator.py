@@ -15,7 +15,9 @@ large indices by power-law scaling of anchor values:
 * for min index beyond the trusted row limit, the value at the limit row is
   scaled by (n/n_e)^(1/2) for |xi| and (n/n_e)^(3/2) for |xi|^3.
 
-Tables are capped at 500 x 500.
+Tables are capped at 500 x 500.  The scalar |xi| and |xi|^3 lookups read
+the memoized full-size tables, so the extrapolation rule exists only in the
+table builder.
 """
 
 from __future__ import annotations
@@ -167,46 +169,13 @@ def _psi_grid(n_max: int, cutoff: int, points_per_panel: int) -> tuple[np.ndarra
 def _quadrature_element(n: int, m: int, power: int, scheme: QuadratureScheme) -> float:
     """Raw half-line integral 2 * int_0^cutoff psi_n psi_m xi^power dxi.
 
-    Valid for even n + m regardless of the trusted region; callers decide
-    whether to trust it.
+    Valid for even n + m regardless of the trusted region.  The tables
+    evaluate the same integral as one block; this one-pair form is the
+    reference their extrapolation seams are checked against.
     """
     cutoff = scheme.cutoff(n, m)
     x, w, psi = _psi_grid(max(n, m), cutoff, scheme.points_per_panel)
     return 2.0 * float(np.sum(w * psi[n] * psi[m] * x**power))
-
-
-def _abs_power_element(n: int, m: int, power: int, scheme: QuadratureScheme) -> float:
-    """<n| |xi|^power |m> for odd power, with anchor scaling outside the
-    trusted quadrature region."""
-    _check_indices(n, m)
-    a, b = min(n, m), max(n, m)
-    if (a + b) % 2 == 1:
-        return 0.0
-    k = b - a
-    if k > QUAD_BAND_LIMIT:
-        anchor = _abs_power_element(a, a + QUAD_BAND_LIMIT, power, scheme)
-        sign = -1.0 if ((QUAD_BAND_LIMIT + k) // 2) % 2 else 1.0
-        if power == 1:
-            expo = 1.25
-        else:
-            expo = 2.5 + 0.02 * a
-        return sign * anchor * (QUAD_BAND_LIMIT / k) ** expo
-    row_limit = QUAD_ROW_LIMIT - k // 2
-    if a > row_limit:
-        anchor = _abs_power_element(row_limit, row_limit + k, power, scheme)
-        expo = 0.5 if power == 1 else 1.5
-        return anchor * (a / row_limit) ** expo
-    return _quadrature_element(a, b, power, scheme)
-
-
-def lambda_xi_element(n: int, m: int, scheme: QuadratureScheme = DEFAULT_SCHEME) -> float:
-    """<n| |xi| |m>."""
-    return _abs_power_element(n, m, 1, scheme)
-
-
-def lambda_xi3_element(n: int, m: int, scheme: QuadratureScheme = DEFAULT_SCHEME) -> float:
-    """<n| |xi|^3 |m>."""
-    return _abs_power_element(n, m, 3, scheme)
 
 
 @dataclass(frozen=True)
@@ -303,6 +272,16 @@ def build_element_table(
 def cached_element_table(tag: str, max_n: int) -> ElementTable:
     """Memoized build_element_table with the default quadrature scheme."""
     return build_element_table(tag, max_n)
+
+
+def lambda_xi_element(n: int, m: int) -> float:
+    """<n| |xi| |m>, read from the full-size table."""
+    return cached_element_table("lambda_xi", TABLE_LIMIT).value(n, m)
+
+
+def lambda_xi3_element(n: int, m: int) -> float:
+    """<n| |xi|^3 |m>, read from the full-size table."""
+    return cached_element_table("lambda_xi3", TABLE_LIMIT).value(n, m)
 
 
 def write_table_csv(table: ElementTable, stream) -> None:

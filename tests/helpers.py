@@ -2,10 +2,12 @@
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 
+@lru_cache(maxsize=None)
 def hermite_coefficients(n: int) -> tuple[int, ...]:
     """Integer coefficients of the n-th physicists' polynomial, power order."""
     if n == 0:

@@ -216,32 +216,6 @@ class TestErrorPaths:
         assert err != ""
 
 
-class TestTableCache:
-    def test_cache_created_and_reused(self, tmp_path, monkeypatch, capsys):
-        cache = tmp_path / "tables"
-        monkeypatch.setenv("PERTURBA_TABLE_CACHE", str(cache))
-
-        code, first, _ = run_cli(["elements", "--op", "lxi3", "--max-n", "6"], capsys)
-        assert code == 0
-        cached = cache / "lambda_xi3-6.npy"
-        assert cached.exists()
-
-        # poison the cached array; a reused cache must surface the change
-        values = np.load(cached)
-        values[0, 0] = 123.0
-        np.save(cached, values)
-        code, second, _ = run_cli(["elements", "--op", "lxi3", "--max-n", "6"], capsys)
-        assert code == 0
-        assert "123" in second.splitlines()[1]
-        assert first != second
-
-    def test_no_cache_without_env(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("PERTURBA_TABLE_CACHE", raising=False)
-        code, _, _ = run_cli(["elements", "--op", "lxi3", "--max-n", "4"], capsys)
-        assert code == 0
-        assert list(tmp_path.iterdir()) == []
-
-
 class TestInstalledScript:
     def test_console_entry_point(self):
         proc = subprocess.run(

@@ -33,16 +33,25 @@ class TestLinearBuilders:
         assert h[1, 2] == pytest.approx(0.5, abs=1e-15)
         assert h[0, 2] == 0.0
         assert symmetry_defect(h) == 0.0
+        # every band entry is exactly beta times the closed-form element
+        beta, dim = 0.5, 30
+        h = build_linear_true(beta, dim)
+        for n in range(dim):
+            assert h[n, n] == n + 0.5
+        for n in range(dim - 1):
+            assert h[n, n + 1] == h[n + 1, n] == beta * xi_element(n, n + 1), n
+        assert np.count_nonzero(h) == 3 * dim - 2
 
     def test_synthetic_bands(self):
-        beta, a = 0.5, 0.2
-        h = build_linear_synthetic(beta, a, 5)
-        for n in range(5):
-            assert h[n, n] == pytest.approx(n + 0.5 - a * a / 2.0, abs=1e-15)
-        for n in range(4):
+        beta, a, dim = 0.5, 0.2, 30
+        h = build_linear_synthetic(beta, a, dim)
+        for n in range(dim):
+            assert h[n, n] == (n + 0.5) - 0.5 * a * a
+        for n in range(dim - 1):
             x = xi_element(n, n + 1)
-            assert h[n, n + 1] == pytest.approx((beta + a) * x, abs=1e-15)
-            assert h[n + 1, n] == pytest.approx((beta - a) * x, abs=1e-15)
+            assert h[n, n + 1] == (beta + a) * x, n
+            assert h[n + 1, n] == (beta - a) * x, n
+        assert np.count_nonzero(h) == 3 * dim - 2
 
     def test_matched_transform_empties_lower_triangle(self):
         beta = 0.5
@@ -72,16 +81,19 @@ class TestLinearBuilders:
 
 class TestQuarticBuilders:
     def test_true_matrix_entries(self):
-        beta = 1.0
-        h = build_quartic_true(beta, 6)
-        for n in range(6):
-            assert h[n, n] == pytest.approx(n + 0.5 + beta * xi4_element(n, n))
-        assert h[0, 2] == pytest.approx(beta * xi4_element(0, 2))
-        assert h[0, 4] == pytest.approx(beta * xi4_element(0, 4))
+        beta, dim = 1.0, 30
+        h = build_quartic_true(beta, dim)
         assert h[0, 1] == 0.0
         assert h[0, 3] == 0.0
         assert h[0, 5] == 0.0
         assert symmetry_defect(h) == 0.0
+        for n in range(dim):
+            assert h[n, n] == (n + 0.5) + beta * xi4_element(n, n)
+        for k in (2, 4):
+            for n in range(dim - k):
+                v = beta * xi4_element(n, n + k)
+                assert h[n, n + k] == h[n + k, n] == v, (n, k)
+        assert np.count_nonzero(h) == 5 * dim - 12
 
     def test_synthetic_formula_per_entry(self):
         beta, a2, dim = 1.0, -0.375, 12
