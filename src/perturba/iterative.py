@@ -19,11 +19,22 @@ column is recomputed from the committed values of the previous iteration and
 only committed at the end of the pass, so the update order within a pass does
 not matter.  The energy estimate is E = H[k, k] + sum_l H[k, l] c[l].
 
-The coefficient columns of all target states are swept together as one
-block, so a sweep costs one stacked product H @ C and one pass of elementwise
-operations for every state still running.  Columns never mix: iterate_solve
-is the block of one column, iterate_solve_all the block of all n, and a
-column leaves the block as soon as it stops.  A column stops when
+Before sweeping, the matrix is split into coupling blocks: the connected
+components of the pattern of entries with H[k, l] != 0 or H[l, k] != 0.
+Outside its own block a column stays exactly zero, since there y[l] = 0 and
+the update gives c[l] = +-0; the one exception is an exact diagonal tie with
+an uncoupled state, where the denominator vanishes and c[l] = s would mix
+that degenerate partner in with weight 1.  So a sweep runs on the state's
+coupling block only: its cost scales with the block, not the matrix, and
+uncoupled degenerate partners stay out of the result.
+
+The coefficient columns of all target states of one coupling block are
+swept together, so a sweep costs one stacked product H @ C and one pass of
+elementwise operations for every state still running.  Columns never mix:
+iterate_solve is the sweep of one column, iterate_solve_all one sweep per
+coupling block over all its states, and a column leaves the sweep as soon as
+it stops.  Both see the same block submatrix, so they give the same result
+per state.  A column stops when
 
 1. converged: E and every coefficient pass the relative tests of IterConfig
    (CONVERGED);
@@ -39,7 +50,7 @@ The first rule in this order that holds wins.  The guard keeps the last
 committed column and its energy, so every reported column is finite; the
 failures carry their reason in detail.
 
-The method is exact for 2 x 2 blocks, including degenerate diagonals, and
+The method is exact for 2 x 2 matrices, including degenerate diagonals, and
 callers are expected to present matrices with non-decreasing diagonals so
 that the degenerate tie-break sign(k - l) matches the non-degenerate limit.
 """
@@ -84,13 +95,44 @@ def iterate_solve(
     n = a.shape[0]
     if not 0 <= state < n:
         raise IndexError(f"state {state} outside 0..{n - 1}")
-    return _sweep(a, np.array([state]), config or IterConfig())[0]
+    block = next(b for b in _coupling_blocks(a) if state in b)
+    return _sweep(a, block, np.flatnonzero(block == state), config or IterConfig())[0]
 
 
 def iterate_solve_all(h, config: IterConfig | None = None) -> list[PerturbationSolution]:
-    """Solve every state of h as one block; failures stay per-state."""
+    """Solve every state of h, one sweep per coupling block.
+
+    Failures stay per-state.
+    """
     a = as_square_matrix(h)
-    return _sweep(a, np.arange(a.shape[0]), config or IterConfig())
+    cfg = config or IterConfig()
+    results: list[PerturbationSolution | None] = [None] * a.shape[0]
+    for block in _coupling_blocks(a):
+        for sol in _sweep(a, block, np.arange(block.size), cfg):
+            results[sol.state] = sol
+    return results
+
+
+def _coupling_blocks(a: np.ndarray) -> list[np.ndarray]:
+    """Connected components of the nonzero pattern of a, ascending indices each.
+
+    The pattern is symmetrized because the transformed matrices are not
+    symmetric: H[l, k] != 0 alone feeds y[l] and so links l to k.  Ascending
+    order keeps the degenerate tie-break sign(k - l) of the full matrix.
+    """
+    linked = (a != 0.0) | (a.T != 0.0)
+    unseen = np.ones(a.shape[0], dtype=bool)
+    blocks = []
+    while unseen.any():
+        member = np.zeros_like(unseen)
+        frontier = member.copy()
+        frontier[np.argmax(unseen)] = True
+        while frontier.any():
+            member |= frontier
+            frontier = linked[frontier].any(axis=0) & ~member
+        unseen &= ~member
+        blocks.append(np.flatnonzero(member))
+    return blocks
 
 
 class _Terms:
@@ -119,23 +161,30 @@ class _Terms:
         self.vertex = -gap / np.where(self.hk != 0.0, 2.0 * self.hk, 1.0)
 
 
-def _sweep(a: np.ndarray, states: np.ndarray, cfg: IterConfig) -> list[PerturbationSolution]:
-    """Iterate the columns of all target states together until each stops.
+def _sweep(
+    h: np.ndarray, block: np.ndarray, states: np.ndarray, cfg: IterConfig
+) -> list[PerturbationSolution]:
+    """Iterate the target states' columns on one coupling block until each stops.
 
-    The block is stored one state per row.  Its products are stacks of
-    matrix-vector and dot products rather than one matrix-matrix product,
-    so that every column is rounded exactly as in a block of its own: the
-    cycle test compares bits, and a block solve must stop each state at the
-    same sweep, with the same result, as iterate_solve.
+    block holds the block's indices into h, states the targets' positions
+    within it.  Every operation sees only the block submatrix; finished
+    columns are scattered back to full length, zero outside the block.
+    The columns are stored one state per row, and the products are stacks
+    of matrix-vector and dot products rather than one matrix-matrix
+    product, so that every column is rounded exactly as when swept alone:
+    the cycle test compares bits, and iterate_solve_all must stop each
+    state at the same sweep, with the same result, as iterate_solve.
     """
+    a = h[np.ix_(block, block)]
     half_ctol = cfg.coeff_tol * 0.5
     half_etol = cfg.energy_tol * 0.5
     results: list[PerturbationSolution | None] = [None] * states.size
     slots = np.arange(states.size)  # result slot of each running column
 
     def finish(j: int, column, e: float, it: int, status, detail=None) -> None:
-        k = int(t.ks[j])
-        coefficients = column.copy()
+        k = int(block[t.ks[j]])
+        coefficients = np.zeros(h.shape[0])
+        coefficients[block] = column
         coefficients[k] = 1.0
         results[slots[j]] = PerturbationSolution(
             state=k,

@@ -16,8 +16,8 @@ large indices by power-law scaling of anchor values:
   scaled by (n/n_e)^(1/2) for |xi| and (n/n_e)^(3/2) for |xi|^3.
 
 Tables are capped at 500 x 500.  The scalar |xi| and |xi|^3 lookups read
-the memoized full-size tables, so the extrapolation rule exists only in the
-table builder.
+full-size tables memoized apart from the builders' cache, so the
+extrapolation rule exists only in the table builder.
 """
 
 from __future__ import annotations
@@ -222,30 +222,29 @@ def _abs_power_table(power: int, max_n: int, scheme: QuadratureScheme) -> np.nda
     x, w, psi = _psi_grid(qcol, cutoff, scheme.points_per_panel)
     block = 2.0 * (psi * (w * x**power)) @ psi.T
 
-    for a in range(max_n + 1):
-        for b in range(a, min(max_n, a + QUAD_BAND_LIMIT) + 1, 1):
-            if (a + b) % 2 == 1:
-                continue
-            k = b - a
-            row_limit = QUAD_ROW_LIMIT - k // 2
-            if a <= row_limit:
-                v = block[a, b]
-            else:
-                expo = 0.5 if power == 1 else 1.5
-                v = vals[row_limit, row_limit + k] * (a / row_limit) ** expo
-            vals[a, b] = v
-            vals[b, a] = v
-    # bandwidths beyond the anchor band, scaled off the completed k = 50 column;
-    # only even k carries a value, odd k stays zero by parity
-    for a in range(max_n + 1):
-        for b in range(a + QUAD_BAND_LIMIT + 2, max_n + 1, 2):
-            k = b - a
-            anchor = vals[a, a + QUAD_BAND_LIMIT]
-            sign = -1.0 if ((QUAD_BAND_LIMIT + k) // 2) % 2 else 1.0
-            expo = 1.25 if power == 1 else 2.5 + 0.02 * a
-            v = sign * anchor * (QUAD_BAND_LIMIT / k) ** expo
-            vals[a, b] = v
-            vals[b, a] = v
+    # trusted rows read the block; rows past the band's limit scale its last
+    # trusted entry.  Only even k carries a value, odd k stays zero by parity.
+    # Powers go through np.float_power, which rounds like the C library's pow;
+    # numpy's ** differs in the last bit for about 5% of arguments
+    expo = 0.5 if power == 1 else 1.5
+    for k in range(0, min(max_n, QUAD_BAND_LIMIT) + 1, 2):
+        row_limit = QUAD_ROW_LIMIT - k // 2
+        a = np.arange(max_n + 1 - k)
+        trusted, scaled = a[: row_limit + 1], a[row_limit + 1 :]
+        v = block[trusted, trusted + k]
+        if scaled.size:
+            anchor = block[row_limit, row_limit + k]
+            v = np.concatenate([v, anchor * np.float_power(scaled / row_limit, expo)])
+        vals[a, a + k] = v
+        vals[a + k, a] = v
+    # bandwidths beyond the anchor band, scaled off the completed k = 50 band
+    for k in range(QUAD_BAND_LIMIT + 2, max_n + 1, 2):
+        a = np.arange(max_n + 1 - k)
+        sign = -1.0 if ((QUAD_BAND_LIMIT + k) // 2) % 2 else 1.0
+        expo = 1.25 if power == 1 else 2.5 + 0.02 * a
+        v = sign * vals[a, a + QUAD_BAND_LIMIT] * np.float_power(QUAD_BAND_LIMIT / k, expo)
+        vals[a, a + k] = v
+        vals[a + k, a] = v
     return vals
 
 
@@ -274,14 +273,24 @@ def cached_element_table(tag: str, max_n: int) -> ElementTable:
     return build_element_table(tag, max_n)
 
 
+@lru_cache(maxsize=None)
+def _full_table(tag: str) -> ElementTable:
+    """The full-size table the scalar lookups read.
+
+    Cached apart from cached_element_table, whose bounded cache builders at
+    many sizes would otherwise evict it, forcing a rebuild on the next lookup.
+    """
+    return build_element_table(tag, TABLE_LIMIT)
+
+
 def lambda_xi_element(n: int, m: int) -> float:
     """<n| |xi| |m>, read from the full-size table."""
-    return cached_element_table("lambda_xi", TABLE_LIMIT).value(n, m)
+    return _full_table("lambda_xi").value(n, m)
 
 
 def lambda_xi3_element(n: int, m: int) -> float:
     """<n| |xi|^3 |m>, read from the full-size table."""
-    return cached_element_table("lambda_xi3", TABLE_LIMIT).value(n, m)
+    return _full_table("lambda_xi3").value(n, m)
 
 
 def write_table_csv(table: ElementTable, stream) -> None:

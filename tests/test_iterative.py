@@ -9,12 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perturba.hamiltonians import (
+    build_2d_synthetic,
+    build_2d_true,
     build_linear_true,
     build_quartic_synthetic,
     build_quartic_true,
     default_quartic_a2,
 )
-from perturba.iterative import IterConfig, iterate_solve, iterate_solve_all
+from perturba.iterative import (
+    IterConfig,
+    _coupling_blocks,
+    iterate_solve,
+    iterate_solve_all,
+)
 from perturba.linalg import SolveStatus, jacobi_diagonalize, residual_norm
 from perturba.rspt import DIVERGENCE_GUARD
 
@@ -287,29 +294,84 @@ class TestSolveAll:
         [
             # converged states 0-9, capped 10-21, guard-stopped 22-29
             ("linear", 1000, f"coefficient magnitude exceeded {DIVERGENCE_GUARD:.1e}"),
-            # converged states 0-2, period-2 cycles from state 5, the rest capped
+            # converged states 0-2, period-2 cycles at 5-17 and 96-99, the rest capped
             ("quartic", 500, "period-2 cycle at sweep "),
+            # two coupling blocks; converged, capped and guard-stopped states in each
+            ("osc2d", 1000, f"coefficient magnitude exceeded {DIVERGENCE_GUARD:.1e}"),
         ],
-        ids=["linear", "quartic"],
+        ids=["linear", "quartic", "osc2d"],
     )
     def test_block_matches_single_state_solves(self, problem, cap, failure):
         # the caps keep the single-state loop short while convergence, the
-        # cap and the case's failure rule all still fire.  Only converged
-        # energies are compared: a capped state's last iterate is no result,
-        # and the drift of the linear states 12-21 amplifies any rounding
+        # cap and the case's failure rule all still fire.  Both paths sweep
+        # the same coupling-block submatrix, so every result is bit-identical
         if problem == "linear":
             h = build_linear_true(0.5, 30)
-        else:
+        elif problem == "quartic":
             h = build_quartic_synthetic(1.0, default_quartic_a2(1.0), 100)
+        else:
+            h = build_2d_synthetic(0.4, 0.2, 15)
         cfg = IterConfig(max_iterations=cap)
         block = iterate_solve_all(h, cfg)
         for k, b in enumerate(block):
             s = iterate_solve(h, k, cfg)
             assert b.state == k
             assert (b.status, b.iterations, b.detail) == (s.status, s.iterations, s.detail)
-            if b.converged:
-                assert b.energy == pytest.approx(s.energy, rel=1e-12, abs=0.0)
+            assert b.energy == s.energy
+            assert np.array_equal(b.coefficients, s.coefficients)
         statuses = {b.status for b in block}
         assert SolveStatus.CONVERGED in statuses
         assert SolveStatus.MAX_ITERATIONS_EXCEEDED in statuses
         assert any(b.detail and b.detail.startswith(failure) for b in block)
+
+
+class TestCouplingBlocks:
+    @pytest.mark.parametrize(
+        "build, sizes",
+        [
+            # parity: even and odd n
+            (lambda: build_quartic_synthetic(0.5, default_quartic_a2(0.5), 100), [50, 50]),
+            # parity of n1 + n2
+            (lambda: build_2d_synthetic(0.4, 0.2, 39), [400, 420]),
+            (lambda: build_linear_true(0.5, 30), [30]),
+        ],
+        ids=["quartic", "osc2d", "linear"],
+    )
+    def test_block_sizes(self, build, sizes):
+        h = build()
+        blocks = _coupling_blocks(h)
+        assert [b.size for b in blocks] == sizes
+        assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(h.shape[0]))
+        for b in blocks:
+            assert np.all(np.diff(b) > 0)
+
+    def test_one_way_coupling_stays_in_the_block(self):
+        # H[l, k] alone feeds y[l] of state k: here H[2, 0] for state 0 and
+        # H[1, 3] for state 3, with H[0, 2] = H[3, 1] = 0
+        h = np.diag([1.0, 2.0, 3.0, 4.0])
+        h[2, 0] = 0.5
+        h[1, 3] = 0.5
+        assert [b.tolist() for b in _coupling_blocks(h)] == [[0, 2], [1, 3]]
+        block = iterate_solve_all(h)
+        for k, l, c in ((0, 2, -0.25), (3, 1, 0.25)):
+            sol = iterate_solve(h, k)
+            assert sol.status is SolveStatus.CONVERGED
+            assert sol.coefficients[l] == c
+            assert block[k].coefficients[l] == c
+
+    @pytest.mark.parametrize(
+        "build, state",
+        [(lambda: np.diag([1.0, 1.0]), 1), (lambda: build_2d_true(0.0, 2), 1)],
+        ids=["diag", "osc2d-beta0"],
+    )
+    def test_uncoupled_degenerate_partner_stays_out(self, build, state):
+        # an exact diagonal tie with a state of another block would take the
+        # c[l] = s branch and mix that partner in with weight 1
+        h = build()
+        unit = np.zeros(h.shape[0])
+        unit[state] = 1.0
+        for sol in (iterate_solve(h, state), iterate_solve_all(h)[state]):
+            assert sol.status is SolveStatus.CONVERGED
+            assert sol.iterations == 1
+            assert sol.energy == h[state, state]
+            assert np.array_equal(sol.coefficients, unit)

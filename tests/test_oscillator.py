@@ -206,6 +206,31 @@ class TestExtrapolationRegion:
         mags = [abs(lambda_xi3_element(0, k)) for k in range(52, 90, 2)]
         assert all(b < a for a, b in zip(mags, mags[1:]))
 
+    @pytest.mark.parametrize("max_n", [99, 150, TABLE_LIMIT])
+    def test_extrapolated_entries_follow_the_scalar_rule(self, max_n):
+        # every entry outside the trusted region, recomputed one at a time
+        # with Python's float pow from the table's own anchors, matches bit
+        # for bit; odd bandwidths are exactly zero
+        for tag, power in (("lambda_xi", 1), ("lambda_xi3", 3)):
+            vals = build_element_table(tag, max_n).values
+            for a in range(max_n + 1):
+                for b in range(a, max_n + 1):
+                    k = b - a
+                    row_limit = QUAD_ROW_LIMIT - k // 2
+                    if k % 2:
+                        expected = 0.0
+                    elif k > QUAD_BAND_LIMIT:
+                        sign = -1.0 if ((QUAD_BAND_LIMIT + k) // 2) % 2 else 1.0
+                        expo = 1.25 if power == 1 else 2.5 + 0.02 * a
+                        anchor = vals[a, a + QUAD_BAND_LIMIT]
+                        expected = sign * anchor * (QUAD_BAND_LIMIT / k) ** expo
+                    elif a > row_limit:
+                        expo = 0.5 if power == 1 else 1.5
+                        expected = vals[row_limit, row_limit + k] * (a / row_limit) ** expo
+                    else:
+                        continue
+                    assert vals[a, b] == expected and vals[b, a] == expected, (tag, a, b)
+
 
 class TestElementTables:
     def test_banded_tables_match_scalars(self):
@@ -267,6 +292,28 @@ class TestElementTables:
         a = cached_element_table("xi2", 20)
         b = cached_element_table("xi2", 20)
         assert a is b
+
+    def test_scalar_lookup_table_survives_builder_sizes(self, monkeypatch):
+        # builders at many sizes fill the bounded cached_element_table; the
+        # full-size table behind the scalar lookups must not be rebuilt
+        from perturba import oscillator
+        from perturba.hamiltonians import build_quartic_synthetic
+
+        lambda_xi3_element(3, 5)
+        table = oscillator._full_table("lambda_xi3")
+        builds = []
+        real_build = oscillator.build_element_table
+
+        def counting_build(tag, max_n):
+            builds.append((tag, max_n))
+            return real_build(tag, max_n)
+
+        monkeypatch.setattr(oscillator, "build_element_table", counting_build)
+        for d in range(10, 30):
+            build_quartic_synthetic(0.5, -0.35, d)
+        lambda_xi3_element(3, 5)
+        assert ("lambda_xi3", TABLE_LIMIT) not in builds
+        assert oscillator._full_table("lambda_xi3") is table
 
     def test_values_read_only(self):
         table = build_element_table("xi", 4)
