@@ -282,7 +282,9 @@ def write_results_csv(results, stream, include_exact_2d: bool = False) -> None:
     """Serialize RunResults as CSV, one row per state.
 
     include_exact_2d appends the basis labels and the closed-form energy for
-    osc2d runs, matching states to basis pairs by index.
+    osc2d runs, matching states to basis pairs by index.  A row whose status
+    is not converged has energy nan: its last iterate is no level.  Its
+    residual is still that of the last iterate.
     """
     writer = csv.writer(stream, lineterminator="\n")
     header = [
@@ -295,6 +297,7 @@ def write_results_csv(results, stream, include_exact_2d: bool = False) -> None:
     for result in results:
         label = transform_label(result.transform)
         for row in result.rows:
+            energy = row.energy if row.status is SolveStatus.CONVERGED else math.nan
             record = [
                 result.problem,
                 f"{result.beta:.17g}",
@@ -302,7 +305,7 @@ def write_results_csv(results, stream, include_exact_2d: bool = False) -> None:
                 result.method,
                 label,
                 row.state,
-                f"{row.energy:.17g}",
+                f"{energy:.17g}",
                 row.status.value,
                 row.iterations,
                 f"{row.residual:.17g}",

@@ -28,6 +28,24 @@ that degenerate partner in with weight 1.  So a sweep runs on the state's
 coupling block only: its cost scales with the block, not the matrix, and
 uncoupled degenerate partners stay out of the result.
 
+Inside a block, positions whose diagonal entries are exactly equal form a
+tied group.  The sign(k - l) tie-break cannot resolve a group that is
+coupled within itself: in the 2-D oscillator, shell n1 + n2 = N is
+(N + 1)-fold tied and tridiagonally coupled, and its states stall or
+converge to no eigenpair.  So, as in degenerate Rayleigh-Schroedinger
+theory, every tied group whose in-group block is symmetric with a nonzero
+off-diagonal entry is diagonalized first: the block submatrix becomes
+Q^T H Q, with Q block-diagonal and each block the eigenvectors of one
+group's in-group block, ascending eigenvalues on ascending positions.  The
+sweep runs on the rotated submatrix, and each finished column c' is mapped
+back as c = Q c'.  The target is then the rotated vector on the state's
+position, which carries weight 1; coefficients[state] itself is whatever
+that vector gives.  All coupled groups of the block are rotated, not just
+the target's: the columns of one block then share one rotated submatrix,
+and a coupled group left unrotated elsewhere in the block can still pull
+the target onto no eigenpair.  Uncoupled or non-symmetric groups stay as
+they are and keep the tie-break.
+
 The coefficient columns of all target states of one coupling block are
 swept together, so a sweep costs one stacked product H @ C and one pass of
 elementwise operations for every state still running.  Columns never mix:
@@ -37,7 +55,9 @@ it stops.  Both see the same block submatrix, so they give the same result
 per state.  A column stops when
 
 1. converged: E and every coefficient pass the relative tests of IterConfig
-   (CONVERGED);
+   (CONVERGED).  A coefficient step that misses its relative test by less
+   than 4 ulps of 1, the state's own coefficient, is rounding noise and
+   passes: tiny coefficients jitter at that level in relative terms forever;
 2. cycle: it failed the tests and its new column equals exactly the column
    from two sweeps back.  The update depends only on the committed column and
    both tests are symmetric, so it would alternate unconverged until the cap
@@ -52,7 +72,8 @@ failures carry their reason in detail.
 
 The method is exact for 2 x 2 matrices, including degenerate diagonals, and
 callers are expected to present matrices with non-decreasing diagonals so
-that the degenerate tie-break sign(k - l) matches the non-degenerate limit.
+that the tie-break sign(k - l) of uncoupled ties matches the non-degenerate
+limit.
 """
 
 from __future__ import annotations
@@ -63,6 +84,10 @@ import numpy as np
 
 from .linalg import PerturbationSolution, SolveStatus, as_square_matrix
 from .rspt import DIVERGENCE_GUARD
+
+# A coefficient step below a few ulps of the state's own unit coefficient
+# is rounding noise, not movement (stop rule 1).
+_NOISE = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -95,7 +120,7 @@ def iterate_solve(
     n = a.shape[0]
     if not 0 <= state < n:
         raise IndexError(f"state {state} outside 0..{n - 1}")
-    block = next(b for b in _coupling_blocks(a) if state in b)
+    block = _component(a != 0.0, state)
     return _sweep(a, block, np.flatnonzero(block == state), config or IterConfig())[0]
 
 
@@ -114,25 +139,55 @@ def iterate_solve_all(h, config: IterConfig | None = None) -> list[PerturbationS
 
 
 def _coupling_blocks(a: np.ndarray) -> list[np.ndarray]:
-    """Connected components of the nonzero pattern of a, ascending indices each.
-
-    The pattern is symmetrized because the transformed matrices are not
-    symmetric: H[l, k] != 0 alone feeds y[l] and so links l to k.  Ascending
-    order keeps the degenerate tie-break sign(k - l) of the full matrix.
-    """
-    linked = (a != 0.0) | (a.T != 0.0)
+    """Connected components of the nonzero pattern of a, in order of their first index."""
+    nonzero = a != 0.0
     unseen = np.ones(a.shape[0], dtype=bool)
     blocks = []
     while unseen.any():
-        member = np.zeros_like(unseen)
-        frontier = member.copy()
-        frontier[np.argmax(unseen)] = True
-        while frontier.any():
-            member |= frontier
-            frontier = linked[frontier].any(axis=0) & ~member
-        unseen &= ~member
-        blocks.append(np.flatnonzero(member))
+        blocks.append(_component(nonzero, int(np.argmax(unseen))))
+        unseen[blocks[-1]] = False
     return blocks
+
+
+def _component(nonzero: np.ndarray, seed: int) -> np.ndarray:
+    """Ascending indices of the coupling block of seed, by breadth-first search.
+
+    Rows and columns are both followed because the transformed matrices are
+    not symmetric: H[l, k] != 0 alone feeds y[l] and so links l to k.
+    Ascending order keeps the degenerate tie-break sign(k - l) of the full
+    matrix.
+    """
+    member = np.zeros(nonzero.shape[0], dtype=bool)
+    frontier = member.copy()
+    frontier[seed] = True
+    while frontier.any():
+        member |= frontier
+        frontier = (nonzero[frontier].any(axis=0) | nonzero[:, frontier].any(axis=1)) & ~member
+    return np.flatnonzero(member)
+
+
+def _rotate_tied_groups(a: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Diagonalize a in place inside every coupled group of tied diagonal entries.
+
+    A group is a set of positions with exactly equal diagonal entries.  If
+    its in-group block is symmetric with a nonzero off-diagonal entry, a
+    becomes Q^T a Q with Q the eigenvectors V of that block on the group's
+    positions, ascending eigenvalues on ascending positions.  Returns the
+    (positions, V) of each rotated group; a column c' of the rotated matrix
+    is c = Q c' in the original basis.
+    """
+    _, group_of, counts = np.unique(np.diag(a), return_inverse=True, return_counts=True)
+    rotations = []
+    for i in np.flatnonzero(counts > 1):
+        g = np.flatnonzero(group_of == i)
+        sub = a[np.ix_(g, g)]
+        if np.array_equal(sub, sub.T) and sub[~np.eye(g.size, dtype=bool)].any():
+            w, v = np.linalg.eigh(sub)
+            a[g, :] = v.T @ a[g, :]
+            a[:, g] = a[:, g] @ v
+            a[np.ix_(g, g)] = np.diag(w)
+            rotations.append((g, v))
+    return rotations
 
 
 class _Terms:
@@ -176,21 +231,23 @@ def _sweep(
     state at the same sweep, with the same result, as iterate_solve.
     """
     a = h[np.ix_(block, block)]
+    rotations = _rotate_tied_groups(a)
     half_ctol = cfg.coeff_tol * 0.5
     half_etol = cfg.energy_tol * 0.5
     results: list[PerturbationSolution | None] = [None] * states.size
     slots = np.arange(states.size)  # result slot of each running column
 
     def finish(j: int, column, e: float, it: int, status, detail=None) -> None:
-        k = int(block[t.ks[j]])
+        column = column.copy()
+        column[t.ks[j]] = 1.0
+        for g, v in rotations:
+            column[g] = v @ column[g]
         coefficients = np.zeros(h.shape[0])
         coefficients[block] = column
-        coefficients[k] = 1.0
         results[slots[j]] = PerturbationSolution(
-            state=k,
+            state=int(block[t.ks[j]]),
             energy=float(e),
             coefficients=coefficients,
-            normalized_coefficients=coefficients / np.linalg.norm(coefficients),
             iterations=it,
             status=status,
             detail=detail,
@@ -224,7 +281,7 @@ def _sweep(
             new_energy = t.ek + new_hc
             converged = np.abs(new_energy - energy) <= half_etol * np.abs(new_energy + energy)
             if converged.any():
-                coeff_moved = (np.abs(c - new) - half_ctol * np.abs(c + new)) > 0.0
+                coeff_moved = (np.abs(c - new) - half_ctol * np.abs(c + new)) > _NOISE
                 converged &= ~coeff_moved.any(axis=1)
             cycling = (new == c_two_back).all(axis=1)
             blown = ~(np.abs(new).max(axis=1) <= DIVERGENCE_GUARD)  # nan-safe

@@ -49,15 +49,18 @@ class EigenSolution:
 class PerturbationSolution:
     """Single-state result from either perturbation solver.
 
-    coefficients is the mixing vector with coefficients[state] fixed at 1;
-    normalized_coefficients is the same vector scaled to unit length.
-    detail carries a short failure reason when status is not CONVERGED.
+    coefficients is the mixing vector, normally with coefficients[state]
+    fixed at 1.  When iterate_solve rotated the state's tied diagonal group
+    (see iterative), the vector is scaled so that the rotated target vector
+    has weight 1 and coefficients[state] can be anything, even near 0.
+    normalized_coefficients is derived: the same vector scaled to unit
+    length.  detail carries a short failure reason when status is not
+    CONVERGED.
     """
 
     state: int
     energy: float
     coefficients: np.ndarray
-    normalized_coefficients: np.ndarray
     iterations: int
     status: SolveStatus
     detail: str | None = None
@@ -66,6 +69,10 @@ class PerturbationSolution:
     @property
     def converged(self) -> bool:
         return self.status is SolveStatus.CONVERGED
+
+    @property
+    def normalized_coefficients(self) -> np.ndarray:
+        return self.coefficients / np.linalg.norm(self.coefficients)
 
 
 def as_square_matrix(h) -> np.ndarray:

@@ -128,7 +128,6 @@ def rspt_solve(
 
     coefficients = total_c.copy()
     coefficients[state] = 1.0
-    normalized = coefficients / np.linalg.norm(coefficients)
     history = None
     if keep_history:
         history = OrderHistory(
@@ -139,7 +138,6 @@ def rspt_solve(
         state=state,
         energy=float(total_e),
         coefficients=coefficients,
-        normalized_coefficients=normalized,
         iterations=order,
         status=status,
         detail=detail,

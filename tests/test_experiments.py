@@ -270,9 +270,10 @@ class TestCsvOutput:
         )
         buf = io.StringIO()
         write_results_csv([result], buf)
-        line = buf.getvalue().splitlines()[1]
-        assert line.split(",")[4] == "a2=-0.375"
-        assert line.split(",")[7] == "max_iterations_exceeded"
+        fields = buf.getvalue().splitlines()[1].split(",")
+        assert fields[4] == "a2=-0.375"
+        # a failed row's last iterate is no level: energy nan, residual kept
+        assert fields[6:10] == ["nan", "max_iterations_exceeded", "10", "0.5"]
 
     def test_2d_exact_columns(self):
         inst = ProblemInstance(problem="osc2d", beta=0.4, dim=3, method="oracle")

@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perturba import iterative
+from perturba.experiments import exact_2d_energy
 from perturba.hamiltonians import (
+    BasisMap2D,
     build_2d_synthetic,
     build_2d_true,
     build_linear_true,
@@ -19,6 +22,7 @@ from perturba.hamiltonians import (
 from perturba.iterative import (
     IterConfig,
     _coupling_blocks,
+    _rotate_tied_groups,
     iterate_solve,
     iterate_solve_all,
 )
@@ -296,7 +300,8 @@ class TestSolveAll:
             ("linear", 1000, f"coefficient magnitude exceeded {DIVERGENCE_GUARD:.1e}"),
             # converged states 0-2, period-2 cycles at 5-17 and 96-99, the rest capped
             ("quartic", 500, "period-2 cycle at sweep "),
-            # two coupling blocks; converged, capped and guard-stopped states in each
+            # two coupling blocks; converged (65 of 136 with the shell rotation,
+            # 11 without), capped and guard-stopped states in each
             ("osc2d", 1000, f"coefficient magnitude exceeded {DIVERGENCE_GUARD:.1e}"),
         ],
         ids=["linear", "quartic", "osc2d"],
@@ -375,3 +380,94 @@ class TestCouplingBlocks:
             assert sol.iterations == 1
             assert sol.energy == h[state, state]
             assert np.array_equal(sol.coefficients, unit)
+
+
+class TestDegenerateRotation:
+    """Shells n1 + n2 = N of the 2-D oscillator are tied and coupled in-shell."""
+
+    PAIRS = BasisMap2D.triangular(39).pairs
+
+    def solve_on_levels(self, beta, states):
+        """Solve states, asserting each is an eigenpair at its pair's normal-mode level.
+
+        The classifier's rule: residual within 1e-9 ||H||_F, energy within
+        1e-8 of the eigenvalue nearest the closed-form energy.
+        """
+        h = build_2d_synthetic(beta, beta / 2.0, 39)
+        levels = np.linalg.eigvals(h)
+        sols = [iterate_solve(h, k) for k in states]
+        for k, sol in zip(states, sols):
+            assert sol.status is SolveStatus.CONVERGED, (beta, k, sol.status, sol.detail)
+            c = sol.coefficients
+            residual = np.linalg.norm(h @ c - sol.energy * c) / np.linalg.norm(c)
+            assert residual <= 1e-9 * np.linalg.norm(h), (beta, k)
+            exact = exact_2d_energy(*self.PAIRS[k], beta)
+            level = levels[np.argmin(np.abs(levels - exact))]
+            assert abs(sol.energy - level) <= 1e-8 * max(abs(level), 1.0), (beta, k)
+        return sols
+
+    @pytest.mark.parametrize("beta", [0.2, 0.4, 0.6])
+    def test_first_three_shells_reach_their_levels(self, beta):
+        # without the rotation state 4, the middle of shell 2, runs to the
+        # cap and state 3 converges to no eigenpair
+        self.solve_on_levels(beta, range(6))
+
+    def test_strong_coupling_keeps_the_lowest_states(self):
+        # at beta 0.8 neighbouring shells overlap after the rotation; states
+        # 0-2 are acceptance criterion 06, state 3 the top of shell 1
+        self.solve_on_levels(0.8, range(4))
+
+    def test_rounding_floor_stops_a_settled_state(self):
+        # state 20's column is an eigenvector to rounding after about 130
+        # sweeps, but coefficients far below 1 keep jittering by more than
+        # coeff_tol of themselves, so without the floor it runs to the cap
+        (sol,) = self.solve_on_levels(0.4, [20])
+        assert sol.iterations < 1000
+
+    def test_rotated_column_is_mapped_back(self):
+        # the middle of shell 2 is (|2,0> - |0,2>)/sqrt(2) to lowest order,
+        # so its own basis entry is near 0 and the weight of 1 sits on the
+        # rotated vector, not on coefficients[4]
+        h = build_2d_synthetic(0.4, 0.2, 39)
+        sol = iterate_solve(h, 4)
+        c = sol.normalized_coefficients
+        assert abs(c[4]) < 1e-6
+        assert c[3] == pytest.approx(-c[5], rel=1e-2)
+        assert abs(c[3]) > 0.6
+
+    def test_uncoupled_tie_is_not_rotated(self, monkeypatch):
+        # states 0 and 1 tie but couple only through state 2: no rotation,
+        # and every result is that of the plain sweep with its sign tie-break
+        h = np.array([[1.0, 0.0, 0.3], [0.0, 1.0, 0.2], [0.3, 0.2, 3.0]])
+        a = h.copy()
+        assert _rotate_tied_groups(a) == []
+        assert np.array_equal(a, h)
+        rotated = [iterate_solve(h, k) for k in range(3)]
+        monkeypatch.setattr(iterative, "_rotate_tied_groups", lambda a: [])
+        plain = [iterate_solve(h, k) for k in range(3)]
+        for r, p in zip(rotated, plain):
+            assert (r.status, r.iterations, r.energy) == (p.status, p.iterations, p.energy)
+            assert np.array_equal(r.coefficients, p.coefficients)
+            assert r.coefficients[r.state] == 1.0
+
+    def test_non_symmetric_tie_is_not_rotated(self):
+        h = np.array([[1.0, 0.2, 0.0], [0.1, 1.0, 0.0], [0.0, 0.0, 3.0]])
+        a = h.copy()
+        assert _rotate_tied_groups(a) == []
+        assert np.array_equal(a, h)
+
+    def test_rotation_diagonalizes_each_coupled_group(self):
+        h = build_2d_synthetic(0.4, 0.2, 15)
+        block = _coupling_blocks(h)[0]
+        a = h[np.ix_(block, block)]
+        rotated = a.copy()
+        groups = _rotate_tied_groups(rotated)
+        # shells 2, 4, ..., 14 of the even block; shell 0 has one state
+        assert [g.size for g, _ in groups] == list(range(3, 16, 2))
+        q = np.eye(block.size)
+        for g, v in groups:
+            q[np.ix_(g, g)] = v
+            sub = rotated[np.ix_(g, g)]
+            assert np.array_equal(sub, np.diag(np.diag(sub)))
+            assert np.all(np.diff(np.diag(sub)) >= 0.0)
+        np.testing.assert_allclose(rotated, q.T @ a @ q, atol=1e-13 * np.abs(a).max())
