@@ -21,7 +21,6 @@ from .linalg import (
 from .oscillator import (
     ElementTable,
     IndexOutOfRangeError,
-    QuadratureScheme,
     build_element_table,
     cached_element_table,
     lambda_xi3_element,
@@ -40,7 +39,6 @@ from .hamiltonians import (
     FgReport,
     StructureViolationError,
     SyntheticSpec,
-    TableTooSmallError,
     a2_from_quantum_number,
     build_2d_synthetic,
     build_2d_true,

@@ -15,6 +15,7 @@ from .experiments import (
     ProblemInstance,
     RunResult,
     build_instance_matrix,
+    exact_2d_energy,
     run_instance,
     write_results_csv,
 )
@@ -36,12 +37,8 @@ class _Parser(argparse.ArgumentParser):
     # usage errors must exit 1, not argparse's default 2
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self._exit_with(message))
-
-    @staticmethod
-    def _exit_with(message: str) -> int:
         print(f"error: {message}", file=sys.stderr)
-        return 1
+        raise SystemExit(1)
 
 
 def _beta_list(text: str) -> list[float]:
@@ -54,10 +51,13 @@ def _beta_list(text: str) -> list[float]:
     return values
 
 
-def _open_out(path: str | None):
+def _write_out(path: str | None, write) -> None:
+    """Call write(stream) on stdout, or on the file at path."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        write(sys.stdout)
+        return
+    with open(path, "w", newline="") as stream:
+        write(stream)
 
 
 def _parse_transform(args, problem: str, beta: float) -> SyntheticSpec | None:
@@ -97,25 +97,19 @@ def _run_rows(args, problem: str) -> tuple[list[RunResult], int]:
 
 def _cmd_bench(args) -> int:
     problem = args.command
+    exact_2d = problem == "osc2d"
+    if exact_2d:
+        # the exact column needs a bound spectrum: reject such beta before solving
+        for beta in args.beta:
+            exact_2d_energy(0, 0, beta)
     results, code = _run_rows(args, problem)
-    stream, owned = _open_out(args.out)
-    try:
-        write_results_csv(results, stream, include_exact_2d=(problem == "osc2d"))
-    finally:
-        if owned:
-            stream.close()
+    _write_out(args.out, lambda s: write_results_csv(results, s, include_exact_2d=exact_2d))
     return code
 
 
 def _cmd_elements(args) -> int:
-    tag = OP_TAGS[args.op]
-    table = cached_element_table(tag, args.max_n)
-    stream, owned = _open_out(args.out)
-    try:
-        write_table_csv(table, stream)
-    finally:
-        if owned:
-            stream.close()
+    table = cached_element_table(OP_TAGS[args.op], args.max_n)
+    _write_out(args.out, lambda s: write_table_csv(table, s))
     return 0
 
 
@@ -130,12 +124,7 @@ def _cmd_matrix(args) -> int:
         transform=_parse_transform(args, problem, args.beta),
     )
     h = build_instance_matrix(instance)
-    stream, owned = _open_out(args.out)
-    try:
-        write_matrix_text(h, stream)
-    finally:
-        if owned:
-            stream.close()
+    _write_out(args.out, lambda s: write_matrix_text(h, s))
     return 0
 
 

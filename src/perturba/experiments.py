@@ -212,16 +212,12 @@ def run_instance(instance: ProblemInstance) -> RunResult:
                 )
             )
     else:
-        if instance.method == "rspt":
-            cfg = instance.config
-            if cfg is not None and not isinstance(cfg, RsptConfig):
-                raise TypeError("rspt method needs an RsptConfig")
-            solutions = rspt_solve_all(h, cfg)
-        else:
-            cfg = instance.config
-            if cfg is not None and not isinstance(cfg, IterConfig):
-                raise TypeError("iter method needs an IterConfig")
-            solutions = iterate_solve_all(h, cfg)
+        rspt = instance.method == "rspt"
+        config_type = RsptConfig if rspt else IterConfig
+        cfg = instance.config
+        if cfg is not None and not isinstance(cfg, config_type):
+            raise TypeError(f"{instance.method} method needs an {config_type.__name__}")
+        solutions = (rspt_solve_all if rspt else iterate_solve_all)(h, cfg)
         for s in solutions:
             rows.append(
                 StateRow(

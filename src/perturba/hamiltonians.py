@@ -28,8 +28,10 @@ import numpy as np
 from .oscillator import ElementTable, cached_element_table
 
 
-class TableTooSmallError(ValueError):
-    pass
+# verify_fg_structure's bounds on the F/G symmetry defects and on the
+# H + F - G reconstruction defect
+_ANTISYMMETRY_TOL = 1.0e-12
+_RECONSTRUCTION_TOL = 1.0e-10
 
 
 class StructureViolationError(ValueError):
@@ -108,32 +110,21 @@ def default_quartic_a2(beta: float) -> float:
     return -0.35 if beta <= 0.5 else -0.375
 
 
-def build_quartic_synthetic(
-    beta: float, a2: float, dim: int, lxi3: ElementTable | None = None
-) -> np.ndarray:
+def build_quartic_synthetic(beta: float, a2: float, dim: int) -> np.ndarray:
     """Transformed quartic problem.
 
     H[n, m] = (n + 1/2) delta - (2 a2 + n - m) a2 <n|xi^2|m>
                               - (6 a2 + n - m) a3 <n||xi|^3|m>
 
-    with a3 = sqrt(2 beta) / 3.  The |xi|^3 elements come from lxi3, which
-    must cover indices up to dim - 1 (built on demand when omitted).
+    with a3 = sqrt(2 beta) / 3.
     """
     if dim < 1:
         raise ValueError("dim must be positive")
-    if lxi3 is None:
-        lxi3 = cached_element_table("lambda_xi3", dim - 1)
-    if lxi3.tag != "lambda_xi3":
-        raise ValueError(f"expected a lambda_xi3 table, got {lxi3.tag!r}")
-    if lxi3.max_n < dim - 1:
-        raise TableTooSmallError(
-            f"table covers 0..{lxi3.max_n}, need 0..{dim - 1}"
-        )
     a3 = _quartic_a3(beta)
     idx = np.arange(dim)
     nm = idx[:, None] - idx[None, :]
     x2 = cached_element_table("xi2", dim - 1).values
-    l3 = lxi3.values[:dim, :dim]
+    l3 = cached_element_table("lambda_xi3", dim - 1).values
     return np.diag(idx + 0.5) - (2.0 * a2 + nm) * a2 * x2 - (6.0 * a2 + nm) * a3 * l3
 
 
@@ -188,34 +179,31 @@ class BasisMap2D:
         return total * (total + 1) // 2 + n1
 
 
-def _pair_arrays(basis: BasisMap2D) -> tuple[np.ndarray, np.ndarray]:
-    arr = np.array(basis.pairs)
+def _pair_arrays(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Quantum numbers n1 and n2 of the triangular basis, in basis order."""
+    arr = np.array(BasisMap2D.triangular(n_max).pairs)
     return arr[:, 0], arr[:, 1]
 
 
-def build_2d_true(beta: float, n_max: int, basis: BasisMap2D | None = None) -> np.ndarray:
+def build_2d_true(beta: float, n_max: int) -> np.ndarray:
     """Two coupled oscillators H0 + beta * xi1 * xi2 on the triangular basis."""
-    basis = basis or BasisMap2D.triangular(n_max)
-    n1, n2 = _pair_arrays(basis)
-    xi = cached_element_table("xi", basis.n_max).values
+    n1, n2 = _pair_arrays(n_max)
+    xi = cached_element_table("xi", n_max).values
     x1 = xi[n1[:, None], n1[None, :]]
     x2 = xi[n2[:, None], n2[None, :]]
     return np.diag(n1 + n2 + 1.0) + beta * x1 * x2
 
 
-def build_2d_synthetic(
-    beta: float, a: float, n_max: int, basis: BasisMap2D | None = None
-) -> np.ndarray:
+def build_2d_synthetic(beta: float, a: float, n_max: int) -> np.ndarray:
     """Transformed coupled-oscillator problem with generator a * xi1 * xi2.
 
     Couplings pick up the factor beta + (m1 + m2 - n1 - n2) * a and the
     transform contributes -a^2/2 times the single-mode xi^2 elements on the
     matching-index bands.
     """
-    basis = basis or BasisMap2D.triangular(n_max)
-    n1, n2 = _pair_arrays(basis)
-    xi = cached_element_table("xi", basis.n_max).values
-    x2tab = cached_element_table("xi2", basis.n_max).values
+    n1, n2 = _pair_arrays(n_max)
+    xi = cached_element_table("xi", n_max).values
+    x2tab = cached_element_table("xi2", n_max).values
     x1 = xi[n1[:, None], n1[None, :]]
     x2 = xi[n2[:, None], n2[None, :]]
     total = n1 + n2
@@ -259,9 +247,8 @@ def _transform_f_g(spec: SyntheticSpec, dim: int) -> tuple[np.ndarray, np.ndarra
         f = (e0[None, :] - e0[:, None]) * s
         g = 2.0 * spec.a2**2 * x2 + 6.0 * spec.a2 * spec.a3 * l3 + spec.beta * x4
         return h, f, g
-    basis = BasisMap2D.triangular(dim)
-    n1, n2 = _pair_arrays(basis)
-    h = build_2d_true(spec.beta, dim, basis)
+    n1, n2 = _pair_arrays(dim)
+    h = build_2d_true(spec.beta, dim)
     xi = cached_element_table("xi", dim).values
     x2tab = cached_element_table("xi2", dim).values
     s = spec.a * xi[n1[:, None], n1[None, :]] * xi[n2[:, None], n2[None, :]]
@@ -289,12 +276,7 @@ def build_synthetic(spec: SyntheticSpec, dim: int) -> np.ndarray:
     return build_2d_synthetic(spec.beta, spec.a, dim)
 
 
-def verify_fg_structure(
-    spec: SyntheticSpec,
-    dim: int,
-    antisymmetry_tol: float = 1.0e-12,
-    reconstruction_tol: float = 1.0e-10,
-) -> FgReport:
+def verify_fg_structure(spec: SyntheticSpec, dim: int) -> FgReport:
     """Check the H + F - G decomposition of one synthetic matrix.
 
     F must be anti-symmetric, G symmetric with strictly positive diagonal,
@@ -319,12 +301,12 @@ def verify_fg_structure(
         reconstruction_defect=recon,
         central_dim=central,
     )
-    if f_defect > antisymmetry_tol:
+    if f_defect > _ANTISYMMETRY_TOL:
         ij = np.unravel_index(np.argmax(np.abs(f + f.T)), f.shape)
         raise StructureViolationError(
             f"F fails anti-symmetry at {ij}: defect {f_defect:.3e}"
         )
-    if g_defect > antisymmetry_tol:
+    if g_defect > _ANTISYMMETRY_TOL:
         ij = np.unravel_index(np.argmax(np.abs(g - g.T)), g.shape)
         raise StructureViolationError(
             f"G fails symmetry at {ij}: defect {g_defect:.3e}"
@@ -334,7 +316,7 @@ def verify_fg_structure(
         raise StructureViolationError(
             f"G diagonal not positive at ({i}, {i}): {min_g_diag:.3e}"
         )
-    if recon > reconstruction_tol:
+    if recon > _RECONSTRUCTION_TOL:
         ij = np.unravel_index(np.argmax(delta), delta.shape)
         raise StructureViolationError(
             f"H + F - G mismatches the direct build at {ij}: defect {recon:.3e}"

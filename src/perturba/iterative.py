@@ -13,7 +13,7 @@ the closed-form root of its local quadratic:
     c[l] = -d / (2 H[k, l])                        if q < 0
 
 where s is the sign of d, falling back to the sign of k - l when the
-diagonal entries are effectively equal.  q < 0 needs H[k, l] y[l] < 0, so
+diagonal entries are exactly equal.  q < 0 needs H[k, l] y[l] < 0, so
 H[k, l] != 0 wherever the vertex root -d / (2 H[k, l]) is taken.  The whole
 column is recomputed from the committed values of the previous iteration and
 only committed at the end of the pass, so the update order within a pass does
@@ -55,9 +55,10 @@ it stops.  Both see the same block submatrix, so they give the same result
 per state.  A column stops when
 
 1. converged: E and every coefficient pass the relative tests of IterConfig
-   (CONVERGED).  A coefficient step that misses its relative test by less
-   than 4 ulps of 1, the state's own coefficient, is rounding noise and
-   passes: tiny coefficients jitter at that level in relative terms forever;
+   at rspt.RELATIVE_TOL (CONVERGED).  A coefficient step that misses its
+   relative test by less than 4 ulps of 1, the state's own coefficient, is
+   rounding noise and passes: tiny coefficients jitter at that level in
+   relative terms forever;
 2. cycle: it failed the tests and its new column equals exactly the column
    from two sweeps back.  The update depends only on the committed column and
    both tests are symmetric, so it would alternate unconverged until the cap
@@ -83,11 +84,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import PerturbationSolution, SolveStatus, as_square_matrix
-from .rspt import DIVERGENCE_GUARD
+from .rspt import DIVERGENCE_GUARD, RELATIVE_TOL
 
 # A coefficient step below a few ulps of the state's own unit coefficient
 # is rounding noise, not movement (stop rule 1).
 _NOISE = 4.0 * np.finfo(float).eps
+# The relative tests compare against the half-sum of successive iterates.
+_HALF_TOL = 0.5 * RELATIVE_TOL
 
 
 @dataclass(frozen=True)
@@ -95,19 +98,13 @@ class IterConfig:
     """Stopping controls for the iterative solver.
 
     The relative tests compare successive iterates against their half-sum:
-    |E - E_prev| <= energy_tol * |E + E_prev| / 2 and the analogous test per
-    coefficient with coeff_tol.  zero_gap_threshold decides when a diagonal
-    gap counts as degenerate for the sign convention.
+    |E - E_prev| <= RELATIVE_TOL * |E + E_prev| / 2 and the analogous test
+    per coefficient.  max_iterations caps the sweeps.
     """
 
-    energy_tol: float = 1.0e-10
-    coeff_tol: float = 1.0e-10
     max_iterations: int = 10000
-    zero_gap_threshold: float = 1.0e-20
 
     def __post_init__(self) -> None:
-        if self.energy_tol <= 0.0 or self.coeff_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
@@ -197,7 +194,7 @@ class _Terms:
     the set of running states, so they are rebuilt only when it shrinks.
     """
 
-    def __init__(self, a: np.ndarray, ks: np.ndarray, cfg: IterConfig) -> None:
+    def __init__(self, a: np.ndarray, ks: np.ndarray) -> None:
         diag = np.diag(a)
         self.ks = ks
         self.own = (np.arange(ks.size), ks)  # entry k of each state's row
@@ -206,9 +203,8 @@ class _Terms:
         self.hk = a[ks, :]  # H[k, l]
         self.hck = np.ascontiguousarray(a[:, ks].T)  # H[l, k]
         gap = self.ek[:, None] - diag
-        degenerate = np.abs(gap) <= cfg.zero_gap_threshold
         self.sign = np.where(
-            degenerate, np.sign(ks[:, None] - np.arange(a.shape[0])), np.sign(gap)
+            gap == 0.0, np.sign(ks[:, None] - np.arange(a.shape[0])), np.sign(gap)
         )
         self.abs_gap = np.abs(gap)
         self.gap2 = gap * gap
@@ -232,8 +228,6 @@ def _sweep(
     """
     a = h[np.ix_(block, block)]
     rotations = _rotate_tied_groups(a)
-    half_ctol = cfg.coeff_tol * 0.5
-    half_etol = cfg.energy_tol * 0.5
     results: list[PerturbationSolution | None] = [None] * states.size
     slots = np.arange(states.size)  # result slot of each running column
 
@@ -259,7 +253,7 @@ def _sweep(
     # arithmetic warnings are suppressed rather than surfaced per sweep.  The
     # vertex roots of tiny couplings in _Terms can overflow too.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = _Terms(a, states, cfg)
+        t = _Terms(a, states)
         c = np.zeros((states.size, a.shape[0]))  # committed columns; entry k implicitly 1, kept 0
         # nan never compares equal, so no column can match it on the first sweep
         c_two_back = np.full_like(c, np.nan)
@@ -279,9 +273,9 @@ def _sweep(
 
             new_hc = np.matmul(t.hk[:, None, :], new[:, :, None])[:, 0, 0]
             new_energy = t.ek + new_hc
-            converged = np.abs(new_energy - energy) <= half_etol * np.abs(new_energy + energy)
+            converged = np.abs(new_energy - energy) <= _HALF_TOL * np.abs(new_energy + energy)
             if converged.any():
-                coeff_moved = (np.abs(c - new) - half_ctol * np.abs(c + new)) > _NOISE
+                coeff_moved = (np.abs(c - new) - _HALF_TOL * np.abs(c + new)) > _NOISE
                 converged &= ~coeff_moved.any(axis=1)
             cycling = (new == c_two_back).all(axis=1)
             blown = ~(np.abs(new).max(axis=1) <= DIVERGENCE_GUARD)  # nan-safe
@@ -304,7 +298,7 @@ def _sweep(
                                SolveStatus.MAX_ITERATIONS_EXCEEDED)
                 keep = ~stop
                 slots = slots[keep]
-                t = _Terms(a, t.ks[keep], cfg)
+                t = _Terms(a, t.ks[keep])
                 c, new, new_hc, new_energy = c[keep], new[keep], new_hc[keep], new_energy[keep]
             c_two_back, c, hc, energy = c, new, new_hc, new_energy
     return results

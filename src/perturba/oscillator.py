@@ -42,30 +42,22 @@ class IndexOutOfRangeError(IndexError):
     pass
 
 
-@dataclass(frozen=True)
-class QuadratureScheme:
-    """Composite Gauss-Legendre rule on the half line.
-
-    The integration interval [0, cutoff] is split into unit panels with
-    points_per_panel Gauss-Legendre nodes each.  The cutoff covers the
-    classical turning point of the larger state plus a tail margin, rounded
-    up to a whole panel.
-    """
-
-    points_per_panel: int = 24
-    tail: float = 8.0
-
-    def cutoff(self, n: int, m: int) -> int:
-        return math.ceil(math.sqrt(2.0 * max(n, m) + 1.0) + self.tail)
+# The half-line integrals use a composite Gauss-Legendre rule: [0, cutoff]
+# is split into unit panels of _POINTS_PER_PANEL nodes each.
+_POINTS_PER_PANEL = 24
+# margin past the classical turning point of the larger state
+_TAIL = 8.0
 
 
-DEFAULT_SCHEME = QuadratureScheme()
+def _cutoff(n: int, m: int) -> int:
+    """Turning point of the larger state plus the tail, up to a whole panel."""
+    return math.ceil(math.sqrt(2.0 * max(n, m) + 1.0) + _TAIL)
 
 
 @lru_cache(maxsize=64)
-def _panel_nodes(cutoff: int, points_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
+def _panel_nodes(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights for unit panels tiling [0, cutoff]."""
-    base_x, base_w = np.polynomial.legendre.leggauss(points_per_panel)
+    base_x, base_w = np.polynomial.legendre.leggauss(_POINTS_PER_PANEL)
     offsets = np.arange(cutoff, dtype=float)[:, None]
     x = (offsets + 0.5 * (base_x + 1.0)[None, :]).ravel()
     w = np.tile(0.5 * base_w, cutoff)
@@ -75,29 +67,27 @@ def _panel_nodes(cutoff: int, points_per_panel: int) -> tuple[np.ndarray, np.nda
 def wavefunction_value(n: int, xi):
     """Normalized oscillator wavefunction psi_n evaluated at xi.
 
+    xi may be a scalar, giving a float, or an array of any shape, giving an
+    array of the same shape.
+    """
+    value = wavefunction_rows(n, xi)[n]
+    if np.ndim(xi) == 0:
+        return float(value)
+    return value
+
+
+def wavefunction_rows(n_max: int, xi) -> np.ndarray:
+    """All wavefunctions 0..n_max at the points xi, one per leading index.
+
     Uses the stable upward recursion
     psi_{n+1} = (sqrt(2) xi psi_n - sqrt(n) psi_{n-1}) / sqrt(n+1),
-    starting from the normalized Gaussian ground state.  xi may be a scalar
-    or an array.
+    starting from the normalized Gaussian ground state.  The result has
+    shape (n_max + 1,) + shape of xi.
     """
-    if n < 0:
-        raise ValueError("quantum number must be non-negative")
-    x = np.asarray(xi, dtype=float)
-    prev = np.zeros_like(x)
-    cur = np.pi ** -0.25 * np.exp(-0.5 * x * x)
-    for j in range(n):
-        prev, cur = cur, (math.sqrt(2.0) * x * cur - math.sqrt(j) * prev) / math.sqrt(j + 1)
-    if np.ndim(xi) == 0:
-        return float(cur)
-    return cur
-
-
-def wavefunction_rows(n_max: int, xi: np.ndarray) -> np.ndarray:
-    """All wavefunctions 0..n_max on a grid, one per row."""
     if n_max < 0:
         raise ValueError("quantum number must be non-negative")
     x = np.asarray(xi, dtype=float)
-    rows = np.empty((n_max + 1, x.size))
+    rows = np.empty((n_max + 1,) + x.shape)
     rows[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
     if n_max >= 1:
         rows[1] = math.sqrt(2.0) * x * rows[0]
@@ -161,20 +151,19 @@ def xi4_element(n: int, m: int) -> float:
 
 
 @lru_cache(maxsize=8)
-def _psi_grid(n_max: int, cutoff: int, points_per_panel: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    x, w = _panel_nodes(cutoff, points_per_panel)
+def _psi_grid(n_max: int, cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    x, w = _panel_nodes(cutoff)
     return x, w, wavefunction_rows(n_max, x)
 
 
-def _quadrature_element(n: int, m: int, power: int, scheme: QuadratureScheme) -> float:
+def _quadrature_element(n: int, m: int, power: int) -> float:
     """Raw half-line integral 2 * int_0^cutoff psi_n psi_m xi^power dxi.
 
     Valid for even n + m regardless of the trusted region.  The tables
     evaluate the same integral as one block; this one-pair form is the
     reference their extrapolation seams are checked against.
     """
-    cutoff = scheme.cutoff(n, m)
-    x, w, psi = _psi_grid(max(n, m), cutoff, scheme.points_per_panel)
+    x, w, psi = _psi_grid(max(n, m), _cutoff(n, m))
     return 2.0 * float(np.sum(w * psi[n] * psi[m] * x**power))
 
 
@@ -214,12 +203,11 @@ def _banded_table(tag: str, max_n: int) -> np.ndarray:
     return vals
 
 
-def _abs_power_table(power: int, max_n: int, scheme: QuadratureScheme) -> np.ndarray:
+def _abs_power_table(power: int, max_n: int) -> np.ndarray:
     vals = np.zeros((max_n + 1, max_n + 1))
     # block of raw integrals covering every trusted (row, band) pair
     qcol = min(max_n, QUAD_ROW_LIMIT + QUAD_BAND_LIMIT)
-    cutoff = scheme.cutoff(qcol, qcol)
-    x, w, psi = _psi_grid(qcol, cutoff, scheme.points_per_panel)
+    x, w, psi = _psi_grid(qcol, _cutoff(qcol, qcol))
     block = 2.0 * (psi * (w * x**power)) @ psi.T
 
     # trusted rows read the block; rows past the band's limit scale its last
@@ -248,9 +236,7 @@ def _abs_power_table(power: int, max_n: int, scheme: QuadratureScheme) -> np.nda
     return vals
 
 
-def build_element_table(
-    tag: str, max_n: int, scheme: QuadratureScheme = DEFAULT_SCHEME
-) -> ElementTable:
+def build_element_table(tag: str, max_n: int) -> ElementTable:
     """Build the full element table for one operator tag, indices 0..max_n."""
     if tag not in TAGS:
         raise ValueError(f"unknown operator tag {tag!r}, expected one of {TAGS}")
@@ -262,14 +248,14 @@ def build_element_table(
         vals = _banded_table(tag, max_n)
     else:
         power = 1 if tag == "lambda_xi" else 3
-        vals = _abs_power_table(power, max_n, scheme)
+        vals = _abs_power_table(power, max_n)
     vals.setflags(write=False)
     return ElementTable(tag=tag, max_n=max_n, values=vals)
 
 
 @lru_cache(maxsize=16)
 def cached_element_table(tag: str, max_n: int) -> ElementTable:
-    """Memoized build_element_table with the default quadrature scheme."""
+    """Memoized build_element_table."""
     return build_element_table(tag, max_n)
 
 

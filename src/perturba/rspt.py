@@ -22,26 +22,23 @@ import numpy as np
 from .linalg import PerturbationSolution, SolveStatus, as_square_matrix
 
 DIVERGENCE_GUARD = 1.0e12
+# Relative convergence tolerance of both solvers' energy and coefficient tests.
+RELATIVE_TOL = 1.0e-10
 
 
 @dataclass(frozen=True)
 class RsptConfig:
     """Stopping controls for the order-by-order expansion.
 
-    energy_tol and coeff_tol are relative: order a is accepted once
-    |E(a)| <= energy_tol * |E| and |c(a)[l]| <= coeff_tol * |c[l]| for all l.
-    max_order caps the expansion; guard aborts the state when any single
-    correction exceeds it in magnitude.
+    Order a is accepted once |E(a)| <= RELATIVE_TOL * |E| and
+    |c(a)[l]| <= RELATIVE_TOL * |c[l]| for all l.  max_order caps the
+    expansion; a single correction past DIVERGENCE_GUARD in magnitude aborts
+    the state.
     """
 
-    energy_tol: float = 1.0e-10
-    coeff_tol: float = 1.0e-10
     max_order: int = 1000
-    guard: float = DIVERGENCE_GUARD
 
     def __post_init__(self) -> None:
-        if self.energy_tol <= 0.0 or self.coeff_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
         if self.max_order < 1:
             raise ValueError("max_order must be at least 1")
 
@@ -110,9 +107,9 @@ def rspt_solve(
         c_corr[zero_gap] = 0.0
         c_corr[state] = 0.0
 
-        if abs(e_corr) > cfg.guard or np.max(np.abs(c_corr)) > cfg.guard:
+        if abs(e_corr) > DIVERGENCE_GUARD or np.max(np.abs(c_corr)) > DIVERGENCE_GUARD:
             status = SolveStatus.ALGORITHM_FAILURE
-            detail = f"correction magnitude exceeded {cfg.guard:.1e}"
+            detail = f"correction magnitude exceeded {DIVERGENCE_GUARD:.1e}"
             break
 
         c_hist[order] = c_corr
@@ -120,8 +117,8 @@ def rspt_solve(
         total_c += c_corr
         total_e += e_corr
 
-        energy_ok = abs(e_corr) <= cfg.energy_tol * abs(total_e)
-        coeff_ok = bool(np.all(np.abs(c_corr) <= cfg.coeff_tol * np.abs(total_c)))
+        energy_ok = abs(e_corr) <= RELATIVE_TOL * abs(total_e)
+        coeff_ok = bool(np.all(np.abs(c_corr) <= RELATIVE_TOL * np.abs(total_c)))
         if energy_ok and coeff_ok:
             status = SolveStatus.CONVERGED
             break

@@ -49,7 +49,6 @@ from perturba.linalg import jacobi_diagonalize
 from perturba.oscillator import (
     QUAD_BAND_LIMIT,
     QUAD_ROW_LIMIT,
-    QuadratureScheme,
     _quadrature_element,
     build_element_table,
     lambda_xi3_element,
@@ -218,7 +217,7 @@ def test_criterion_06_coupled_2d_degenerate_levels():
     basis = BasisMap2D.triangular(39)
     assert basis.size == 820
     for beta in (0.2, 0.4, 0.6, 0.8):
-        h = build_2d_synthetic(beta, beta / 2.0, 39, basis)
+        h = build_2d_synthetic(beta, beta / 2.0, 39)
         worst = 0.0
         all_ok = True
         for idx, (n1, n2) in [(0, (0, 0)), (1, (0, 1)), (2, (1, 0))]:
@@ -283,11 +282,10 @@ def test_criterion_08_element_suite():
     checks.append(("cubic-magnitude vs exact moments", worst <= 1e-8, f"{worst:.2e}"))
 
     # extrapolations anchor continuously at both region boundaries
-    scheme = QuadratureScheme()
     for power, fn in ((1, lambda_xi_element), (3, lambda_xi3_element)):
         for a in (0, 5, 10):
             m = a + QUAD_BAND_LIMIT + 2
-            raw = _quadrature_element(a, m, power, scheme)
+            raw = _quadrature_element(a, m, power)
             val = fn(a, m)
             ok = raw != 0.0 and abs(val / raw - 1.0) <= 0.15
             checks.append(
@@ -295,7 +293,7 @@ def test_criterion_08_element_suite():
             )
         for k in (0, 2):
             a = QUAD_ROW_LIMIT - k // 2 + 1
-            raw = _quadrature_element(a, a + k, power, scheme)
+            raw = _quadrature_element(a, a + k, power)
             val = fn(a, a + k)
             ok = raw != 0.0 and abs(val / raw - 1.0) <= 0.15
             checks.append(

@@ -131,6 +131,19 @@ class TestOsc2dCommand:
         assert all(rec["transform"] == "none" for rec in records)
         assert code in (0, 2)
 
+    def test_unbound_beta_rejected_before_output(self, tmp_path, capsys):
+        # beta 1.5 has no exact levels: nothing is solved or written
+        code, out, err = run_cli(["osc2d", "--beta", "0.3,1.5", "--nmax", "2"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "beta 1.5 outside [0, 1]" in err
+        target = tmp_path / "rows.csv"
+        code, _, _ = run_cli(
+            ["osc2d", "--beta", "0.3,1.5", "--nmax", "2", "--out", str(target)], capsys
+        )
+        assert code == 1
+        assert not target.exists()
+
 
 class TestElementsCommand:
     def test_closed_form_table(self, capsys):
@@ -178,6 +191,11 @@ class TestMatrixCommand:
         assert code == 0
         h = read_matrix_text(io.StringIO(out))
         assert h.shape == (BasisMap2D.triangular(3).size,) * 2 == (10, 10)
+
+    def test_osc2d_matrix_beyond_bound_spectrum(self, capsys):
+        code, out, _ = run_cli(["matrix", "--problem", "osc2d", "--beta", "1.5"], capsys)
+        assert code == 0
+        assert read_matrix_text(io.StringIO(out)).shape == (66, 66)
 
     def test_matrix_determinism(self, capsys):
         args = ["matrix", "--problem", "quartic", "--beta", "1.0", "--dim", "12",

@@ -9,7 +9,6 @@ from perturba.hamiltonians import (
     BasisMap2D,
     StructureViolationError,
     SyntheticSpec,
-    TableTooSmallError,
     a2_from_quantum_number,
     build_2d_synthetic,
     build_2d_true,
@@ -139,16 +138,6 @@ class TestQuarticBuilders:
         with pytest.raises(ValueError):
             a2_from_quantum_number(11, lxi3)
 
-    def test_small_table_rejected(self):
-        small = cached_element_table("lambda_xi3", 5)
-        with pytest.raises(TableTooSmallError):
-            build_quartic_synthetic(1.0, -0.375, 10, lxi3=small)
-
-    def test_wrong_table_tag_rejected(self):
-        wrong = cached_element_table("xi", 10)
-        with pytest.raises(ValueError):
-            build_quartic_synthetic(1.0, -0.375, 8, lxi3=wrong)
-
     def test_transform_preserves_low_spectrum(self):
         beta, dim = 1.0, 60
         true_eigs = jacobi_diagonalize(build_quartic_true(beta, dim)).eigenvalues
@@ -231,7 +220,7 @@ class TestCoupled2D:
     def test_coupling_entry(self):
         beta = 0.4
         basis = BasisMap2D.triangular(6)
-        h = build_2d_true(beta, 6, basis)
+        h = build_2d_true(beta, 6)
         i, j = basis.index(0, 0), basis.index(1, 1)
         assert h[i, j] == pytest.approx(beta * xi_element(0, 1) ** 2, abs=1e-15)
         # single-mode changes require the other mode's xi element to vanish
@@ -245,7 +234,7 @@ class TestCoupled2D:
     def test_synthetic_diagonal_shift(self):
         beta, a = 0.4, 0.2
         basis = BasisMap2D.triangular(6)
-        h = build_2d_synthetic(beta, a, 6, basis)
+        h = build_2d_synthetic(beta, a, 6)
         for i, (n1, n2) in enumerate(basis.pairs):
             expected = (
                 n1 + n2 + 1.0

@@ -197,8 +197,6 @@ class TestBasicBehaviour:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            IterConfig(energy_tol=-1.0)
-        with pytest.raises(ValueError):
             IterConfig(max_iterations=0)
 
     def test_normalized_coefficients_unit_norm(self):

@@ -23,7 +23,8 @@ from perturba.oscillator import (
     TAGS,
     ElementTable,
     IndexOutOfRangeError,
-    QuadratureScheme,
+    _cutoff,
+    _quadrature_element,
     build_element_table,
     cached_element_table,
     lambda_xi3_element,
@@ -61,8 +62,15 @@ class TestWavefunctions:
         for n in range(6):
             assert np.allclose(rows[n], wavefunction_value(n, xs), atol=1e-14)
 
+    def test_grid_keeps_shape(self):
+        grid = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        for n in (0, 1, 5):
+            values = wavefunction_value(n, grid)
+            assert values.shape == (3, 4)
+            expected = [[wavefunction_value(n, float(x)) for x in row] for row in grid]
+            assert np.allclose(values, expected, atol=1e-14)
+
     def test_orthonormality_by_quadrature(self):
-        scheme = QuadratureScheme()
         xs = np.linspace(-12.0, 12.0, 4001)
         rows = wavefunction_rows(8, xs)
         gram = rows @ rows.T * (xs[1] - xs[0])
@@ -115,13 +123,11 @@ class TestClosedFormElements:
 
 class TestQuadratureScheme:
     def test_cutoff_examples(self):
-        scheme = QuadratureScheme()
-        assert scheme.cutoff(0, 0) == 9
-        assert scheme.cutoff(12, 3) == 13
+        assert _cutoff(0, 0) == 9
+        assert _cutoff(12, 3) == 13
 
     def test_cutoff_monotone(self):
-        scheme = QuadratureScheme()
-        cuts = [scheme.cutoff(n, n) for n in range(0, 120, 10)]
+        cuts = [_cutoff(n, n) for n in range(0, 120, 10)]
         assert all(b >= a for a, b in zip(cuts, cuts[1:]))
 
 
@@ -173,24 +179,18 @@ class TestExtrapolationRegion:
     def test_wide_band_continuity(self):
         # Extrapolated entries just past the band anchor stay within 10% of
         # the raw integral evaluated at the same indices.
-        scheme = QuadratureScheme()
-        from perturba.oscillator import _quadrature_element
-
         for power, fn in ((1, lambda_xi_element), (3, lambda_xi3_element)):
             for a in (0, 5, 10):
-                raw = _quadrature_element(a, a + QUAD_BAND_LIMIT + 2, power, scheme)
+                raw = _quadrature_element(a, a + QUAD_BAND_LIMIT + 2, power)
                 extrapolated = fn(a, a + QUAD_BAND_LIMIT + 2)
                 assert extrapolated == pytest.approx(raw, rel=0.10), (power, a)
 
     def test_row_limit_continuity(self):
-        scheme = QuadratureScheme()
-        from perturba.oscillator import _quadrature_element
-
         for power, fn in ((1, lambda_xi_element), (3, lambda_xi3_element)):
             for k in (0, 2):
                 row_limit = QUAD_ROW_LIMIT - k // 2
                 a = row_limit + 1
-                raw = _quadrature_element(a, a + k, power, scheme)
+                raw = _quadrature_element(a, a + k, power)
                 extrapolated = fn(a, a + k)
                 assert extrapolated == pytest.approx(raw, rel=0.10), (power, k)
 

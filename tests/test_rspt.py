@@ -131,8 +131,6 @@ class TestFailureModes:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            RsptConfig(energy_tol=0.0)
-        with pytest.raises(ValueError):
             RsptConfig(max_order=0)
 
 
