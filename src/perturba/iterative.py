@@ -50,9 +50,9 @@ The coefficient columns of all target states of one coupling block are
 swept together, so a sweep costs one stacked product H @ C and one pass of
 elementwise operations for every state still running.  Columns never mix:
 iterate_solve is the sweep of one column, iterate_solve_all one sweep per
-coupling block over all its states, and a column leaves the sweep as soon as
-it stops.  Both see the same block submatrix, so they give the same result
-per state.  A column stops when
+coupling block over all its states, and a column leaves the sweep at the end
+of the batch (below) in which it stops.  Both see the same block submatrix,
+so they give the same result per state.  A column stops when
 
 1. converged: E and every coefficient pass the relative tests of IterConfig
    at rspt.RELATIVE_TOL (CONVERGED).  A coefficient step that misses its
@@ -70,6 +70,14 @@ per state.  A column stops when
 The first rule in this order that holds wins.  The guard keeps the last
 committed column and its energy, so every reported column is finite; the
 failures carry their reason in detail.
+
+The rules are tested once per batch of up to 16 sweeps, not after every
+sweep: the batch keeps every column it computes, the rules are evaluated on
+all of its sweeps at once, and each column stops at its first stopping
+sweep.  The sweeps a column ran past that point are discarded, so every
+result, down to the bits and the sweep count, is the one that testing after
+every sweep gives.  A batch never runs past the cap, and on wide blocks it
+is shorter, so that its column history stays within a fixed size.
 
 The method is exact for 2 x 2 matrices, including degenerate diagonals, and
 callers are expected to present matrices with non-decreasing diagonals so
@@ -91,6 +99,10 @@ from .rspt import DIVERGENCE_GUARD, RELATIVE_TOL
 _NOISE = 4.0 * np.finfo(float).eps
 # The relative tests compare against the half-sum of successive iterates.
 _HALF_TOL = 0.5 * RELATIVE_TOL
+# The stop rules are tested once per batch of at most _BATCH sweeps, and a
+# batch keeps at most about _BATCH_ENTRIES coefficients of column history.
+_BATCH = 16
+_BATCH_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -197,16 +209,21 @@ class _Terms:
     def __init__(self, a: np.ndarray, ks: np.ndarray) -> None:
         diag = np.diag(a)
         self.ks = ks
-        self.own = (np.arange(ks.size), ks)  # entry k of each state's row
+        self.own_flat = np.arange(ks.size) * a.shape[0] + ks  # entry k of each state's row
         self.ek = diag[ks]
         self.diag = diag
         self.hk = a[ks, :]  # H[k, l]
+        self.hk_rows = self.hk[:, None, :]
         self.hck = np.ascontiguousarray(a[:, ks].T)  # H[l, k]
         gap = self.ek[:, None] - diag
         self.sign = np.where(
             gap == 0.0, np.sign(ks[:, None] - np.arange(a.shape[0])), np.sign(gap)
         )
         self.abs_gap = np.abs(gap)
+        # The update's denominator can vanish only where half the gap does.
+        tied = 0.5 * self.abs_gap == 0.0
+        tied.ravel()[self.own_flat] = False
+        self.ties = bool(tied.any())
         self.gap2 = gap * gap
         self.hk4 = 4.0 * self.hk
         self.vertex = -gap / np.where(self.hk != 0.0, 2.0 * self.hk, 1.0)
@@ -257,48 +274,68 @@ def _sweep(
         c = np.zeros((states.size, a.shape[0]))  # committed columns; entry k implicitly 1, kept 0
         # nan never compares equal, so no column can match it on the first sweep
         c_two_back = np.full_like(c, np.nan)
-        hc = np.zeros(states.size)  # sum_l H[k, l] c[l] of the committed columns
+        hc = np.zeros((states.size, 1))  # sum_l H[k, l] c[l] of the committed columns
         energy = t.ek.copy()
         it = 0
         while slots.size:
-            it += 1
-            t1 = np.matmul(a, c[:, :, None])[:, :, 0]
-            y = t.hck + (t1 - t.diag * c) - c * (hc[:, None] - t.hk * c)
-            q = t.gap2 + t.hk4 * y
-            den = 0.5 * (np.sqrt(np.maximum(q, 0.0)) + t.abs_gap)
-            nonzero = den != 0.0
-            root = np.where(nonzero, t.sign * y / np.where(nonzero, den, 1.0), t.sign)
-            new = np.where(q >= 0.0, root, t.vertex)
-            new[t.own] = 0.0
+            steps = min(_BATCH, max(1, _BATCH_ENTRIES // c.size), cfg.max_iterations - it)
+            # cols[s + 2] is the column after sweep s of the batch; hcs[s + 1] its hc
+            cols = np.empty((steps + 2,) + c.shape)
+            cols[0], cols[1] = c_two_back, c
+            hcs = np.empty((steps + 1,) + hc.shape)
+            hcs[0] = hc
+            t1 = np.empty(c.shape + (1,))
+            for s in range(steps):
+                c, hc, new = cols[s + 1], hcs[s], cols[s + 2]
+                np.matmul(a, c[:, :, None], out=t1)
+                y = t.hck + (t1[:, :, 0] - t.diag * c) - c * (hc - t.hk * c)
+                q = t.gap2 + t.hk4 * y
+                den = 0.5 * (np.sqrt(np.maximum(q, 0.0)) + t.abs_gap)
+                np.divide(t.sign * y, den, out=new)
+                if t.ties:  # elsewhere den > 0
+                    np.copyto(new, t.sign, where=den == 0.0)
+                np.copyto(new, t.vertex, where=~(q >= 0.0))  # nan q too
+                new.ravel()[t.own_flat] = 0.0
+                np.matmul(t.hk_rows, new[:, :, None], out=hcs[s + 1, :, :, None])
 
-            new_hc = np.matmul(t.hk[:, None, :], new[:, :, None])[:, 0, 0]
-            new_energy = t.ek + new_hc
-            converged = np.abs(new_energy - energy) <= _HALF_TOL * np.abs(new_energy + energy)
+            # The stop rules on every sweep of the batch, one row per sweep.
+            news, olds = cols[2:], cols[1:-1]
+            energies = np.empty((steps + 1, slots.size))
+            energies[0] = energy
+            energies[1:] = t.ek + hcs[1:, :, 0]
+            e0, e1 = energies[:-1], energies[1:]
+            converged = np.abs(e1 - e0) <= _HALF_TOL * np.abs(e1 + e0)
             if converged.any():
-                coeff_moved = (np.abs(c - new) - _HALF_TOL * np.abs(c + new)) > _NOISE
-                converged &= ~coeff_moved.any(axis=1)
-            cycling = (new == c_two_back).all(axis=1)
-            blown = ~(np.abs(new).max(axis=1) <= DIVERGENCE_GUARD)  # nan-safe
+                hit = np.nonzero(converged)
+                o, w = olds[hit], news[hit]
+                converged[hit] = ~((np.abs(o - w) - _HALF_TOL * np.abs(o + w)) > _NOISE).any(axis=1)
+            cycling = (news == cols[:-2]).all(axis=2)
+            blown = ~(np.abs(news).max(axis=2) <= DIVERGENCE_GUARD)  # nan-safe
             stop = converged | cycling | blown
-            if it == cfg.max_iterations:
-                stop[:] = True
+            if it + steps == cfg.max_iterations:
+                stop[-1] = True
 
-            if stop.any():
-                for j in np.flatnonzero(stop):
-                    if converged[j]:
-                        finish(j, new[j], new_energy[j], it, SolveStatus.CONVERGED)
-                    elif cycling[j]:
-                        finish(j, new[j], new_energy[j], it, SolveStatus.ALGORITHM_FAILURE,
-                               f"period-2 cycle at sweep {it}")
-                    elif blown[j]:
-                        finish(j, c[j], energy[j], it, SolveStatus.ALGORITHM_FAILURE,
-                               f"coefficient magnitude exceeded {DIVERGENCE_GUARD:.1e}")
-                    else:
-                        finish(j, new[j], new_energy[j], it,
-                               SolveStatus.MAX_ITERATIONS_EXCEEDED)
-                keep = ~stop
+            # Each column stops at its first stopping sweep; later sweeps are dropped.
+            first = stop.argmax(axis=0)
+            done = stop.any(axis=0)
+            for j in np.flatnonzero(done):
+                s = first[j]
+                sweep = int(it + s + 1)
+                if converged[s, j]:
+                    finish(j, news[s, j], e1[s, j], sweep, SolveStatus.CONVERGED)
+                elif cycling[s, j]:
+                    finish(j, news[s, j], e1[s, j], sweep, SolveStatus.ALGORITHM_FAILURE,
+                           f"period-2 cycle at sweep {sweep}")
+                elif blown[s, j]:
+                    finish(j, olds[s, j], e0[s, j], sweep, SolveStatus.ALGORITHM_FAILURE,
+                           f"coefficient magnitude exceeded {DIVERGENCE_GUARD:.1e}")
+                else:
+                    finish(j, news[s, j], e1[s, j], sweep, SolveStatus.MAX_ITERATIONS_EXCEEDED)
+            it += steps
+            c_two_back, c, hc, energy = cols[-2], cols[-1], hcs[-1], e1[-1]
+            if done.any():
+                keep = ~done
                 slots = slots[keep]
                 t = _Terms(a, t.ks[keep])
-                c, new, new_hc, new_energy = c[keep], new[keep], new_hc[keep], new_energy[keep]
-            c_two_back, c, hc, energy = c, new, new_hc, new_energy
+                c_two_back, c, hc, energy = c_two_back[keep], c[keep], hc[keep], energy[keep]
     return results

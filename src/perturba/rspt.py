@@ -78,6 +78,7 @@ def rspt_solve(
     gap = diag[state] - diag  # gap[state] == 0, unused
     zero_gap = gap == 0.0
     zero_gap[state] = False
+    degenerate = bool(zero_gap.any())
     wk = w[state, :]
 
     # correction history: rows 0..max_order, row 0 is the unperturbed unit vector
@@ -99,12 +100,13 @@ def rspt_solve(
             # subtract lower-order energy feedback terms
             rhs -= c_hist[order - 1:0:-1].T @ e_hist[1:order]
         rhs[state] = 0.0
-        if np.any(rhs[zero_gap] != 0.0):
+        if degenerate and np.any(rhs[zero_gap] != 0.0):
             status = SolveStatus.ALGORITHM_FAILURE
             detail = "degenerate diagonal with nonzero coupling"
             break
         c_corr = rhs / safe_gap
-        c_corr[zero_gap] = 0.0
+        if degenerate:
+            c_corr[zero_gap] = 0.0
         c_corr[state] = 0.0
 
         if abs(e_corr) > DIVERGENCE_GUARD or np.max(np.abs(c_corr)) > DIVERGENCE_GUARD:

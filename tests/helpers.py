@@ -64,3 +64,46 @@ def random_dominant(rng: np.random.Generator, dim: int) -> np.ndarray:
     np.fill_diagonal(off, 0.0)
     min_gap = float(np.min(np.diff(diag)))
     return np.diag(diag) + 0.05 * min_gap * off
+
+
+def reference_iterate(h: np.ndarray, state: int, max_iterations: int):
+    """The quadratic coefficient iteration one sweep at a time, for matrices without ties.
+
+    Written from the iterative module's docstring: the update on the
+    state's coupling block, then stop rules 1-4 tested after every sweep.
+    Returns (status value, iterations, detail, energy, coefficients).
+    """
+    linked = (h != 0.0) | (h.T != 0.0)
+    member = np.arange(h.shape[0]) == state
+    while not np.array_equal(grown := member | linked[member].any(axis=0), member):
+        member = grown
+    block = np.flatnonzero(member)
+    a = h[np.ix_(block, block)]
+    k = int(np.flatnonzero(block == state)[0])
+    d = a[k, k] - np.diag(a)
+    c, two_back, e, hc = np.zeros(block.size), np.full(block.size, np.nan), a[k, k], 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for it in range(1, max_iterations + 1):
+            y = a[:, k] + (a @ c - np.diag(a) * c) - c * (hc - a[k] * c)
+            q = d * d + 4.0 * a[k] * y
+            root = np.sign(d) * y / (0.5 * (np.sqrt(np.maximum(q, 0.0)) + np.abs(d)))
+            new = np.where(q >= 0.0, root, -d / (2.0 * a[k]))
+            new[k] = 0.0
+            new_hc = a[k] @ new
+            new_e = a[k, k] + new_hc
+            settled = np.abs(c - new) - 0.5e-10 * np.abs(c + new) <= 4.0 * np.finfo(float).eps
+            if abs(new_e - e) <= 0.5e-10 * abs(new_e + e) and settled.all():
+                stop = ("converged", None, new_e, new)
+            elif np.array_equal(new, two_back):
+                stop = ("algorithm_failure", f"period-2 cycle at sweep {it}", new_e, new)
+            elif not np.abs(new).max() <= 1.0e12:
+                stop = ("algorithm_failure", "coefficient magnitude exceeded 1.0e+12", e, c)
+            elif it == max_iterations:
+                stop = ("max_iterations_exceeded", None, new_e, new)
+            else:
+                two_back, c, e, hc = c, new, new_e, new_hc
+                continue
+            coefficients = np.zeros(h.shape[0])
+            coefficients[block] = stop[3]
+            coefficients[state] = 1.0
+            return stop[0], it, stop[1], float(stop[2]), coefficients

@@ -2,12 +2,14 @@
 
 import math
 import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_iterate
 from perturba import iterative
 from perturba.experiments import exact_2d_energy
 from perturba.hamiltonians import (
@@ -38,6 +40,22 @@ def random_dominant(rng: np.random.Generator, dim: int) -> np.ndarray:
     np.fill_diagonal(off, 0.0)
     min_gap = float(np.min(np.diff(diag)))
     return np.diag(diag) + 0.05 * min_gap * off
+
+
+# Sweeps of perfbench's quartic-grid, states 0-7 of the dim-100 transformed
+# quartic per beta.  The states in QUARTIC_GRID_CYCLES end in a period-2
+# cycle, the others converge.
+QUARTIC_GRID_SWEEPS = {
+    0.1: (81, 82, 85, 89, 95, 101, 123, 169),
+    0.5: (206, 214, 263, 346, 579, 1448, 3580, 254),
+    1.0: (291, 300, 479, 859, 8010, 365, 290, 182),
+}
+QUARTIC_GRID_CYCLES = [(0.5, 7), (1.0, 4), (1.0, 5), (1.0, 6), (1.0, 7)]
+
+
+@lru_cache(maxsize=None)
+def quartic_grid(beta: float) -> np.ndarray:
+    return build_quartic_synthetic(beta, default_quartic_a2(beta), 100)
 
 
 def eig2(a: float, b: float, w: float) -> tuple[float, float]:
@@ -328,6 +346,67 @@ class TestSolveAll:
         assert any(b.detail and b.detail.startswith(failure) for b in block)
 
 
+class TestAgainstReference:
+    """Bitwise agreement with the one-sweep-at-a-time reference of tests/helpers.
+
+    The solver tests its stop rules once per batch of up to 16 sweeps and
+    drops the sweeps after a column's first stop; the reference tests them
+    after every sweep.
+    """
+
+    @staticmethod
+    def assert_same(sol, ref):
+        status, iterations, detail, energy, coefficients = ref
+        assert type(sol.iterations) is int
+        assert (sol.status.value, sol.iterations, sol.detail) == (status, iterations, detail)
+        assert np.float64(sol.energy).tobytes() == np.float64(energy).tobytes()
+        assert sol.coefficients.tobytes() == coefficients.tobytes()
+
+    @pytest.mark.parametrize("cap", [1, 2, 15, 16, 17, 33, 1000])
+    def test_linear_caps_around_the_batch(self, cap):
+        # the cap must land exactly on and beside batch edges; the guard
+        # first stops a state by sweep 33, and at 1000 ten states converge
+        h = build_linear_true(0.5, 30)
+        cfg = IterConfig(max_iterations=cap)
+        block = iterate_solve_all(h, cfg)
+        for k in range(30):
+            ref = reference_iterate(h, k, cap)
+            self.assert_same(iterate_solve(h, k, cfg), ref)
+            self.assert_same(block[k], ref)
+
+    @pytest.mark.parametrize("beta, state", QUARTIC_GRID_CYCLES)
+    def test_quartic_grid_cycles(self, beta, state):
+        h = quartic_grid(beta)
+        self.assert_same(iterate_solve(h, state), reference_iterate(h, state, 10000))
+
+    def test_cycle_on_the_first_sweep_of_a_batch(self):
+        # sweep 97 = 6 * 16 + 1 compares with a column carried over from the
+        # previous batch
+        h = build_quartic_synthetic(0.3, default_quartic_a2(0.3), 30)
+        ref = reference_iterate(h, 14, 10000)
+        assert ref[:3] == ("algorithm_failure", 97, "period-2 cycle at sweep 97")
+        self.assert_same(iterate_solve(h, 14), ref)
+
+    def test_guard(self):
+        # stops at sweep 68 and reports the column of sweep 67
+        h = build_quartic_true(1.0, 12)
+        ref = reference_iterate(h, 0, 10000)
+        guard = f"coefficient magnitude exceeded {DIVERGENCE_GUARD:.1e}"
+        assert ref[:3] == ("algorithm_failure", 68, guard)
+        self.assert_same(iterate_solve(h, 0), ref)
+
+
+@pytest.mark.parametrize("beta, state", [(b, k) for b in QUARTIC_GRID_SWEEPS for k in range(8)])
+def test_quartic_grid_stop_table(beta, state):
+    sweeps = QUARTIC_GRID_SWEEPS[beta][state]
+    if (beta, state) in QUARTIC_GRID_CYCLES:
+        expected = (SolveStatus.ALGORITHM_FAILURE, sweeps, f"period-2 cycle at sweep {sweeps}")
+    else:
+        expected = (SolveStatus.CONVERGED, sweeps, None)
+    sol = iterate_solve(quartic_grid(beta), state)
+    assert (sol.status, sol.iterations, sol.detail) == expected
+
+
 class TestCouplingBlocks:
     @pytest.mark.parametrize(
         "build, sizes",
@@ -447,6 +526,16 @@ class TestDegenerateRotation:
             assert (r.status, r.iterations, r.energy) == (p.status, p.iterations, p.energy)
             assert np.array_equal(r.coefficients, p.coefficients)
             assert r.coefficients[r.state] == 1.0
+
+    def test_zero_denominator_takes_the_tie_break_sign(self):
+        # states 0 and 1 tie with H[0, 1] = 0 and couple only through state
+        # 2, so q = 0 and the denominator vanishes; the update then gives
+        # the partner c[l] = s = sign(k - l)
+        h = np.array([[1.0, 0.0, 0.3], [0.0, 1.0, 0.2], [0.3, 0.2, 3.0]])
+        for k, partner in ((0, 1), (1, 0)):
+            sol = iterate_solve(h, k)
+            assert (sol.status, sol.iterations) == (SolveStatus.CONVERGED, 3)
+            assert sol.coefficients[partner] == np.sign(k - partner)
 
     def test_non_symmetric_tie_is_not_rotated(self):
         h = np.array([[1.0, 0.2, 0.0], [0.1, 1.0, 0.0], [0.0, 0.0, 3.0]])
