@@ -9,6 +9,7 @@ reserved for usage or runtime errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .experiments import (
@@ -128,7 +129,13 @@ def _cmd_matrix(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    parse_args leaves a parser unchanged and returns a fresh namespace, so
+    every main call can share it.
+    """
     parser = _Parser(prog="perturba", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -219,9 +219,11 @@ class _Terms:
         self.sign = np.where(
             gap == 0.0, np.sign(ks[:, None] - np.arange(a.shape[0])), np.sign(gap)
         )
+        # 2 s y / (sqrt(q) + |d|) rounds as s y / ((sqrt(q) + |d|) / 2), one product fewer
+        self.sign2 = 2.0 * self.sign
         self.abs_gap = np.abs(gap)
-        # The update's denominator can vanish only where half the gap does.
-        tied = 0.5 * self.abs_gap == 0.0
+        # The update's denominator can vanish only where the gap does.
+        tied = self.abs_gap == 0.0
         tied.ravel()[self.own_flat] = False
         self.ties = bool(tied.any())
         self.gap2 = gap * gap
@@ -290,11 +292,11 @@ def _sweep(
                 np.matmul(a, c[:, :, None], out=t1)
                 y = t.hck + (t1[:, :, 0] - t.diag * c) - c * (hc - t.hk * c)
                 q = t.gap2 + t.hk4 * y
-                den = 0.5 * (np.sqrt(np.maximum(q, 0.0)) + t.abs_gap)
-                np.divide(t.sign * y, den, out=new)
+                den = np.sqrt(np.maximum(q, 0.0)) + t.abs_gap
+                np.divide(t.sign2 * y, den, out=new)
                 if t.ties:  # elsewhere den > 0
                     np.copyto(new, t.sign, where=den == 0.0)
-                np.copyto(new, t.vertex, where=~(q >= 0.0))  # nan q too
+                np.copyto(new, t.vertex, where=q < 0.0)
                 new.ravel()[t.own_flat] = 0.0
                 np.matmul(t.hk_rows, new[:, :, None], out=hcs[s + 1, :, :, None])
 

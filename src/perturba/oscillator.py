@@ -208,7 +208,9 @@ def _abs_power_table(power: int, max_n: int) -> np.ndarray:
     # block of raw integrals covering every trusted (row, band) pair
     qcol = min(max_n, QUAD_ROW_LIMIT + QUAD_BAND_LIMIT)
     x, w, psi = _psi_grid(qcol, _cutoff(qcol, qcol))
-    block = 2.0 * (psi * (w * x**power)) @ psi.T
+    # einsum's own loop rounds the same under any BLAS thread count; a gemm
+    # does not, and the synthetic quartic matrices would follow the threads
+    block = 2.0 * np.einsum("ik,jk->ij", psi * (w * x**power), psi)
 
     # trusted rows read the block; rows past the band's limit scale its last
     # trusted entry.  Only even k carries a value, odd k stays zero by parity.

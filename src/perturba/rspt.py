@@ -2,15 +2,39 @@
 
 The unperturbed energy of state k is taken to be the diagonal entry H[k, k],
 which makes the first-order energy correction vanish identically and leaves
-the off-diagonal part of H as the perturbation.  Corrections are accumulated
-order by order:
+the off-diagonal part W of H as the perturbation.  Corrections are
+accumulated order by order:
 
     E(a) = sum_l W[k, l] c(a-1)[l]
-    c(a)[l] = (sum_j W[l, j] c(a-1)[j] - sum_b c(a-b)[l] E(b)) / (H[k,k] - H[l,l])
+    c(a)[l] = (sum_j W[l, j] c(a-1)[j] - sum_b E(b) c(a-b)[l]) / (H[k,k] - H[l,l])
 
-with c(0) the unit vector on k and the b-sum running over 1 .. a-1.  The
-expansion stops once both the energy and every coefficient correction are
-negligible against their accumulated values.
+with c(0) the unit vector on k, c(a)[k] = 0 for a >= 1 and the b-sum
+running over 1 .. a-1.  At order a the expansion of state k stops at the
+first of these rules that holds:
+
+1. degenerate: some l != k with H[l, l] == H[k, k] has a nonzero numerator
+   (ALGORITHM_FAILURE);
+2. guard: |E(a)| or some |c(a)[l]| exceeds DIVERGENCE_GUARD
+   (ALGORITHM_FAILURE);
+3. converged: |E(a)| <= RELATIVE_TOL * |E| and |c(a)[l]| <= RELATIVE_TOL *
+   |c[l]| for every l, E and c being the sums through order a (CONVERGED);
+4. cap: a == max_order (MAX_ITERATIONS_EXCEEDED).
+
+A failure does not accept order a: the result is the sum through order
+a - 1, and the failure carries its reason in detail.
+
+The target states of one call are expanded together, one coefficient column
+per state, so an order costs three stacked products, for E(a), for W c(a-1)
+and for the b-sum, whatever the number of states.  Columns never mix, and
+every stacked product rounds each column as when it runs alone, so
+rspt_solve(h, k) and rspt_solve_all(h)[k] give the same bits.  The b-sum is
+one matrix-vector product per column that BLAS reads forward: the
+corrections c(1), c(2), ... of a column are contiguous rows, and its energy
+corrections are stored last order first, so that E(a-1), ..., E(1) is a
+contiguous run too.  A column leaves the stack at the order where it stops.
+The history is allocated in chunks that double as orders run, and each
+growth drops the rows of the columns that left, so memory follows the
+columns still running rather than the order cap.
 """
 
 from __future__ import annotations
@@ -24,6 +48,13 @@ from .linalg import PerturbationSolution, SolveStatus, as_square_matrix
 DIVERGENCE_GUARD = 1.0e12
 # Relative convergence tolerance of both solvers' energy and coefficient tests.
 RELATIVE_TOL = 1.0e-10
+# Coefficient history rows allocated before the first growth; each growth
+# doubles them, up to max_order + 1.
+_FIRST_ROWS = 64
+# rspt_solve_all stacks at most this many coefficients of full-length
+# history (states * (max_order + 1) * dim), so memory stays bounded when
+# many states of a large matrix run to the cap.
+_STACK_ENTRIES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -49,7 +80,8 @@ class OrderHistory:
 
     energy_corrections[a-1] is the order-a energy correction; the first entry
     is always zero under the diagonal convention used here.
-    coefficient_corrections has one row per order.
+    coefficient_corrections has one row per order.  A failed order was not
+    accepted and reads zero.
     """
 
     energy_corrections: np.ndarray
@@ -71,80 +103,131 @@ def rspt_solve(
     n = a.shape[0]
     if not 0 <= state < n:
         raise IndexError(f"state {state} outside 0..{n - 1}")
-    cfg = config or RsptConfig()
-
-    diag = np.diag(a)
-    w = a - np.diag(diag)
-    gap = diag[state] - diag  # gap[state] == 0, unused
-    zero_gap = gap == 0.0
-    zero_gap[state] = False
-    degenerate = bool(zero_gap.any())
-    wk = w[state, :]
-
-    # correction history: rows 0..max_order, row 0 is the unperturbed unit vector
-    c_hist = np.zeros((cfg.max_order + 1, n))
-    c_hist[0, state] = 1.0
-    e_hist = np.zeros(cfg.max_order + 1)
-
-    total_c = c_hist[0].copy()
-    total_e = diag[state]
-    status = SolveStatus.MAX_ITERATIONS_EXCEEDED
-    detail: str | None = None
-    order = 0
-
-    safe_gap = np.where(zero_gap | (np.arange(n) == state), 1.0, gap)
-    for order in range(1, cfg.max_order + 1):
-        e_corr = float(wk @ c_hist[order - 1])
-        rhs = w @ c_hist[order - 1]
-        if order >= 2:
-            # subtract lower-order energy feedback terms
-            rhs -= c_hist[order - 1:0:-1].T @ e_hist[1:order]
-        rhs[state] = 0.0
-        if degenerate and np.any(rhs[zero_gap] != 0.0):
-            status = SolveStatus.ALGORITHM_FAILURE
-            detail = "degenerate diagonal with nonzero coupling"
-            break
-        c_corr = rhs / safe_gap
-        if degenerate:
-            c_corr[zero_gap] = 0.0
-        c_corr[state] = 0.0
-
-        if abs(e_corr) > DIVERGENCE_GUARD or np.max(np.abs(c_corr)) > DIVERGENCE_GUARD:
-            status = SolveStatus.ALGORITHM_FAILURE
-            detail = f"correction magnitude exceeded {DIVERGENCE_GUARD:.1e}"
-            break
-
-        c_hist[order] = c_corr
-        e_hist[order] = e_corr
-        total_c += c_corr
-        total_e += e_corr
-
-        energy_ok = abs(e_corr) <= RELATIVE_TOL * abs(total_e)
-        coeff_ok = bool(np.all(np.abs(c_corr) <= RELATIVE_TOL * np.abs(total_c)))
-        if energy_ok and coeff_ok:
-            status = SolveStatus.CONVERGED
-            break
-
-    coefficients = total_c.copy()
-    coefficients[state] = 1.0
-    history = None
-    if keep_history:
-        history = OrderHistory(
-            energy_corrections=e_hist[1 : order + 1].copy(),
-            coefficient_corrections=c_hist[1 : order + 1].copy(),
-        )
-    return PerturbationSolution(
-        state=state,
-        energy=float(total_e),
-        coefficients=coefficients,
-        iterations=order,
-        status=status,
-        detail=detail,
-        history=history,
-    )
+    return _expand(a, np.array([state]), config or RsptConfig(), keep_history)[0]
 
 
 def rspt_solve_all(h, config: RsptConfig | None = None) -> list[PerturbationSolution]:
-    """Run rspt_solve for every state of h; failures stay per-state."""
+    """Expand every state of h; failures stay per-state."""
     a = as_square_matrix(h)
-    return [rspt_solve(a, k, config) for k in range(a.shape[0])]
+    cfg = config or RsptConfig()
+    n = a.shape[0]
+    per_stack = max(1, _STACK_ENTRIES // max(1, n * (cfg.max_order + 1)))
+    results = []
+    for start in range(0, n, per_stack):
+        results += _expand(a, np.arange(start, min(start + per_stack, n)), cfg, False)
+    return results
+
+
+class _Columns:
+    """Per-column constants of the running states ks.
+
+    Row j of each array belongs to state ks[j].  They depend only on the
+    set of running states, so they are rebuilt only when it shrinks.
+    """
+
+    def __init__(self, diag: np.ndarray, w: np.ndarray, ks: np.ndarray) -> None:
+        self.ks = ks
+        self.own = np.arange(ks.size) * diag.size + ks  # flat index of entry k of each column
+        gap = diag[ks, None] - diag
+        tied = gap == 0.0
+        self.safe_gap = np.where(tied, 1.0, gap)
+        tied.ravel()[self.own] = False
+        self.zero_gap = tied if tied.any() else None  # l != k with H[l, l] == H[k, k]
+        self.wk = w[ks, None, :]  # W[k, :] as a 1 x n row per column
+
+
+def _expand(
+    a: np.ndarray, ks: np.ndarray, cfg: RsptConfig, keep_history: bool
+) -> list[PerturbationSolution]:
+    """Expand the states ks of a together, order by order, until each stops."""
+    n = a.shape[0]
+    last = cfg.max_order
+    diag = np.diag(a)
+    w = a - np.diag(diag)
+    t = _Columns(diag, w, ks)
+    results: list[PerturbationSolution | None] = [None] * ks.size
+    slots = np.arange(ks.size)  # result slot of each running column
+
+    # c_hist[j, b] is c(b) of column j; e_rev[j, last - b] is its E(b)
+    rows = min(_FIRST_ROWS, last + 1)
+    c_hist = np.zeros((ks.size, rows, n))
+    c_hist[slots, 0, ks] = 1.0
+    e_rev = np.zeros((ks.size, last))
+    total_c = c_hist[:, 0].copy()
+    total_e = diag[ks].copy()
+
+    def finish(j, order, accepted, sum_c, sum_e, status, detail=None) -> None:
+        coefficients = sum_c[j].copy()
+        coefficients[t.ks[j]] = 1.0
+        history = None
+        if keep_history:
+            e = np.zeros(order)
+            c = np.zeros((order, n))
+            e[:accepted] = e_rev[j, last - accepted :][::-1]
+            c[:accepted] = c_hist[j, 1 : accepted + 1]
+            history = OrderHistory(energy_corrections=e, coefficient_corrections=c)
+        results[slots[j]] = PerturbationSolution(
+            state=int(t.ks[j]),
+            energy=float(sum_e[j]),
+            coefficients=coefficients,
+            iterations=order,
+            status=status,
+            detail=detail,
+            history=history,
+        )
+
+    for order in range(1, last + 1):
+        if order == rows:
+            rows = min(2 * rows, last + 1)
+            grown = np.empty((slots.size, rows, n))
+            grown[:, :order] = c_hist[:, :order]
+            c_hist = grown
+        prev = c_hist[:, order - 1, :, None]
+        e = np.matmul(t.wk, prev)[:, 0, 0]
+        rhs = np.matmul(w, prev)[:, :, 0]
+        if order >= 2:
+            rhs -= np.matmul(e_rev[:, None, last - order + 1 :], c_hist[:, 1:order])[:, 0]
+        np.put(rhs, t.own, 0.0)
+        c = c_hist[:, order]
+        np.divide(rhs, t.safe_gap, out=c)
+        e_rev[:, last - order] = e
+
+        abs_e, abs_c = np.abs(e), np.abs(c)
+        # fmax skips a nan on one side, as `|E(a)| > guard or max |c(a)| > guard` does
+        blown = np.fmax(abs_e, abs_c.max(axis=1)) > DIVERGENCE_GUARD
+        new_c = total_c + c
+        new_e = total_e + e
+        converged = abs_e <= RELATIVE_TOL * np.abs(new_e)
+        if converged.any():
+            converged &= (abs_c <= RELATIVE_TOL * np.abs(new_c)).all(axis=1)
+        stopped = blown | converged
+        degenerate = None
+        if t.zero_gap is not None:
+            # a column that goes on has zero numerators on its ties, so c(a) is +-0 there
+            degenerate = ((rhs != 0.0) & t.zero_gap).any(axis=1)
+            stopped |= degenerate
+        if order == last or stopped.any():
+            # the first rule that holds wins; rules 1 and 2 reject order a
+            for j in range(t.ks.size):
+                if degenerate is not None and degenerate[j]:
+                    finish(j, order, order - 1, total_c, total_e, SolveStatus.ALGORITHM_FAILURE,
+                           "degenerate diagonal with nonzero coupling")
+                elif blown[j]:
+                    finish(j, order, order - 1, total_c, total_e, SolveStatus.ALGORITHM_FAILURE,
+                           f"correction magnitude exceeded {DIVERGENCE_GUARD:.1e}")
+                elif converged[j]:
+                    finish(j, order, order, new_c, new_e, SolveStatus.CONVERGED)
+                elif order == last:
+                    finish(j, order, order, new_c, new_e, SolveStatus.MAX_ITERATIONS_EXCEEDED)
+            keep = ~stopped
+            if order == last or not keep.any():
+                break
+            slots = slots[keep]
+            t = _Columns(diag, w, t.ks[keep])
+            # compact in place; the rows of the stopped columns are freed at the next growth
+            for i, j in enumerate(np.flatnonzero(keep)):
+                c_hist[i, : order + 1] = c_hist[j, : order + 1]
+            c_hist = c_hist[: slots.size]
+            e_rev, new_c, new_e = e_rev[keep], new_c[keep], new_e[keep]
+        total_c, total_e = new_c, new_e
+    return results

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from perturba.cli import main
+from perturba.cli import build_parser, main
 from perturba.hamiltonians import BasisMap2D, build_linear_synthetic
 from perturba.linalg import read_matrix_text
 
@@ -203,6 +203,29 @@ class TestMatrixCommand:
         _, first, _ = run_cli(args, capsys)
         _, second, _ = run_cli(args, capsys)
         assert first == second
+
+
+class TestSharedParser:
+    def test_calls_do_not_leak_options(self, capsys):
+        # one parser serves every call: options set in one call must not
+        # become the defaults of the next
+        assert build_parser() is build_parser()
+        runs = [
+            (["linear", "--beta", "0", "--dim", "3", "--method", "oracle"], 3, "oracle"),
+            (["quartic", "--beta", "0", "--dim", "4", "--method", "rspt"], 4, "rspt"),
+            (["linear", "--beta", "0"], 30, "iter"),
+            (["quartic", "--beta", "0"], 100, "iter"),
+        ]
+        for argv, dim, method in runs:
+            code, out, _ = run_cli(argv, capsys)
+            assert code == 0
+            records = parse_csv(out)
+            assert len(records) == dim
+            assert {(rec["dim"], rec["method"], rec["transform"]) for rec in records} == {
+                (str(dim), method, "none")
+            }
+        _, out, _ = run_cli(["matrix", "--problem", "linear", "--beta", "0"], capsys)
+        assert out.splitlines()[0] == "30"
 
 
 class TestErrorPaths:

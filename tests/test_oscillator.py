@@ -9,6 +9,10 @@ the final normalization touches floating point.
 
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from helpers import abs_power_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import perturba
 from perturba.oscillator import (
     QUAD_BAND_LIMIT,
     QUAD_ROW_LIMIT,
@@ -319,6 +324,22 @@ class TestElementTables:
         table = build_element_table("xi", 4)
         with pytest.raises(ValueError):
             table.values[0, 0] = 1.0
+
+    @pytest.mark.parametrize("tag", ["lambda_xi", "lambda_xi3"])
+    def test_abs_tables_independent_of_blas_threads(self, tag):
+        # a BLAS product rounds differently under 1 and 2 OpenBLAS threads,
+        # which would carry into every synthetic quartic matrix
+        code = (
+            "import sys; from perturba.oscillator import build_element_table; "
+            "sys.stdout.buffer.write(build_element_table(sys.argv[1], 500).values.tobytes())"
+        )
+        src = str(Path(perturba.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-c", code, tag], env=env, capture_output=True, check=True
+        )
+        assert proc.stdout == build_element_table(tag, 500).values.tobytes()
 
 
 class TestTableCsv:

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perturba.hamiltonians import build_linear_true
+from helpers import reference_rspt
+from perturba import rspt
+from perturba.hamiltonians import build_linear_true, build_quartic_true
 from perturba.linalg import SolveStatus, jacobi_diagonalize
 from perturba.rspt import DIVERGENCE_GUARD, RsptConfig, rspt_solve, rspt_solve_all
 
@@ -171,3 +173,77 @@ class TestSolveAll:
         assert sols[0].status is SolveStatus.ALGORITHM_FAILURE
         assert sols[1].status is SolveStatus.ALGORITHM_FAILURE
         assert sols[2].status is SolveStatus.CONVERGED
+
+
+# The interior tie of TestConvergenceFrontier.test_contrast_on_degenerate_ladder
+DEGENERATE_LADDER = np.diag([0.0, 1.0, 2.0, 2.0, 4.0]) + 0.01 * (np.ones((5, 5)) - np.eye(5))
+
+
+class TestAgainstReference:
+    """The stacked expansion against the one-state reference of tests/helpers.
+
+    rspt_solve_all expands all states as one stack whose columns leave at
+    their own stopping order; the reference runs one state and tests the
+    stop rules after every order.
+    """
+
+    @staticmethod
+    def assert_matches(sol, ref):
+        status, orders, detail, energy, coefficients = ref[:5]
+        assert type(sol.iterations) is int
+        assert (sol.status.value, sol.iterations, sol.detail) == (status, orders, detail)
+        assert sol.energy == pytest.approx(energy, rel=1e-12, abs=0.0)
+        np.testing.assert_allclose(sol.coefficients, coefficients, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("cap", [1, 2, 444, 1000])
+    def test_linear_caps(self, cap):
+        # state 10 converges at order 444 and state 11 runs to the 1000 cap;
+        # states 12-29 end at the guard, state 12 at order 721
+        h = build_linear_true(0.5, 30)
+        sols = rspt_solve_all(h, RsptConfig(max_order=cap))
+        for k, sol in enumerate(sols):
+            self.assert_matches(sol, reference_rspt(h, k, cap))
+        assert all(s.history is None for s in sols)
+        statuses = {s.status for s in sols}
+        assert SolveStatus.MAX_ITERATIONS_EXCEEDED in statuses
+        if cap >= 444:
+            assert statuses == set(SolveStatus)
+
+    def test_true_quartic(self):
+        # every state ends at the guard, after 10 to 77 orders
+        h = build_quartic_true(1.0, 60)
+        for k, sol in enumerate(rspt_solve_all(h)):
+            self.assert_matches(sol, reference_rspt(h, k, 1000))
+
+    def test_degenerate_ladder(self):
+        for k, sol in enumerate(rspt_solve_all(DEGENERATE_LADDER)):
+            self.assert_matches(sol, reference_rspt(DEGENERATE_LADDER, k, 1000))
+
+    @pytest.mark.parametrize(
+        "h",
+        [build_linear_true(0.5, 30), build_quartic_true(1.0, 60), DEGENERATE_LADDER],
+        ids=["linear", "quartic", "ladder"],
+    )
+    def test_single_state_is_the_stack_column(self, h):
+        stacked = rspt_solve_all(h)
+        for k, s in enumerate(stacked):
+            one = rspt_solve(h, k, keep_history=True)
+            assert (one.status, one.iterations, one.detail) == (s.status, s.iterations, s.detail)
+            assert np.float64(one.energy).tobytes() == np.float64(s.energy).tobytes()
+            assert one.coefficients.tobytes() == s.coefficients.tobytes()
+            ref = reference_rspt(h, k, 1000)
+            np.testing.assert_array_equal(one.history.energy_corrections, ref[5])
+            np.testing.assert_array_equal(one.history.coefficient_corrections, ref[6])
+
+    def test_split_stacks_give_the_same_bits(self, monkeypatch):
+        # a bound of one state's full history splits the linear run into 30 stacks
+        h = build_linear_true(0.5, 30)
+        whole = rspt_solve_all(h)
+        monkeypatch.setattr(rspt, "_STACK_ENTRIES", 30 * 1001)
+        for a, b in zip(whole, rspt_solve_all(h), strict=True):
+            assert (a.status, a.iterations, a.detail) == (b.status, b.iterations, b.detail)
+            assert a.coefficients.tobytes() == b.coefficients.tobytes()
+            assert np.float64(a.energy).tobytes() == np.float64(b.energy).tobytes()
+
+    def test_empty_matrix(self):
+        assert rspt_solve_all(np.zeros((0, 0))) == []
