@@ -80,18 +80,18 @@ def _parse_transform(args, problem: str, beta: float) -> SyntheticSpec | None:
 
 
 def _run_rows(args, problem: str) -> tuple[list[RunResult], int]:
-    results = []
-    for beta in args.beta:
-        transform = _parse_transform(args, problem, beta)
-        dim = args.nmax if problem == "osc2d" else args.dim
-        instance = ProblemInstance(
+    # every instance is validated before the first one is built
+    instances = [
+        ProblemInstance(
             problem=problem,
             beta=beta,
-            dim=dim,
+            dim=args.nmax if problem == "osc2d" else args.dim,
             method=args.method,
-            transform=transform,
+            transform=_parse_transform(args, problem, beta),
         )
-        results.append(run_instance(instance))
+        for beta in args.beta
+    ]
+    results = [run_instance(instance) for instance in instances]
     failed = any(not r.all_converged for r in results)
     return results, (2 if failed else 0)
 

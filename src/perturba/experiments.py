@@ -146,6 +146,9 @@ class ProblemInstance:
             raise ValueError(f"unknown method {self.method!r}")
         if self.dim < 1:
             raise ValueError("dim must be positive")
+        # inf or nan would only surface as invalid products in the builders
+        if not math.isfinite(self.beta):
+            raise ValueError(f"beta {self.beta} is not finite")
         if self.transform is not None:
             if self.transform.problem != self.problem:
                 raise ValueError("transform problem does not match instance")

@@ -79,6 +79,18 @@ result, down to the bits and the sweep count, is the one that testing after
 every sweep gives.  A batch never runs past the cap, and on wide blocks it
 is shorter, so that its column history stays within a fixed size.
 
+The sweeps run in a workspace that is built for one set of running columns
+and rebuilt only when one of them stops: the column history of a batch,
+every intermediate array, and the views each sweep reads and writes, bound
+once.  A batch starts by copying the last two columns of the previous one
+to the front of the history.  The products diag(H) * c and H[k, l] * c are
+one call on the stacked factors [diag; H[k, :]], and 4 H[k, l] * y and
+2 s * y one call on [4 H[k, :]; 2 s]; every number is rounded as by the
+separate products.  The root is computed as sqrt(q) without clamping q at
+0: where q < 0 the square root is nan, and the vertex root replaces that
+entry anyway, and a nan q stays nan either way.  So the denominator is
+exactly 0 only where q is 0 and the gap is 0, the tie case above.
+
 The method is exact for 2 x 2 matrices, including degenerate diagonals, and
 callers are expected to present matrices with non-decreasing diagonals so
 that the tie-break sign(k - l) of uncoupled ties matches the non-degenerate
@@ -91,7 +103,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PerturbationSolution, SolveStatus, as_square_matrix
+from .linalg import PerturbationSolution, SolveStatus, as_square_matrix, is_count
 from .rspt import DIVERGENCE_GUARD, RELATIVE_TOL
 
 # A coefficient step below a few ulps of the state's own unit coefficient
@@ -103,6 +115,8 @@ _HALF_TOL = 0.5 * RELATIVE_TOL
 # batch keeps at most about _BATCH_ENTRIES coefficients of column history.
 _BATCH = 16
 _BATCH_ENTRIES = 1 << 16
+# Comparing with a 0-d array skips the conversion of a Python float per call.
+_ZERO = np.zeros(())
 
 
 @dataclass(frozen=True)
@@ -117,6 +131,8 @@ class IterConfig:
     max_iterations: int = 10000
 
     def __post_init__(self) -> None:
+        if not is_count(self.max_iterations):
+            raise ValueError("max_iterations must be an integer")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
@@ -207,28 +223,84 @@ class _Terms:
     """
 
     def __init__(self, a: np.ndarray, ks: np.ndarray) -> None:
+        n = a.shape[0]
         diag = np.diag(a)
         self.ks = ks
-        self.own_flat = np.arange(ks.size) * a.shape[0] + ks  # entry k of each state's row
+        self.own_flat = np.arange(ks.size) * n + ks  # entry k of each state's row
         self.ek = diag[ks]
-        self.diag = diag
-        self.hk = a[ks, :]  # H[k, l]
-        self.hk_rows = self.hk[:, None, :]
+        # The factors of the two stacked products of a sweep,
+        # [diag; H[k, l]] * c and [4 H[k, l]; 2 s] * y.
+        self.diag_hk = np.empty((2, ks.size, n))
+        self.diag_hk[0] = diag
+        hk = self.diag_hk[1]  # H[k, l]
+        np.take(a, ks, axis=0, out=hk)
+        self.hk_rows = hk[:, None, :]
         self.hck = np.ascontiguousarray(a[:, ks].T)  # H[l, k]
         gap = self.ek[:, None] - diag
-        self.sign = np.where(
-            gap == 0.0, np.sign(ks[:, None] - np.arange(a.shape[0])), np.sign(gap)
-        )
+        sign = np.where(gap == 0.0, np.sign(ks[:, None] - np.arange(n)), np.sign(gap))
         # 2 s y / (sqrt(q) + |d|) rounds as s y / ((sqrt(q) + |d|) / 2), one product fewer
-        self.sign2 = 2.0 * self.sign
+        self.hk4_sign2 = np.empty_like(self.diag_hk)
+        np.multiply(4.0, hk, out=self.hk4_sign2[0])
+        np.multiply(2.0, sign, out=self.hk4_sign2[1])
         self.abs_gap = np.abs(gap)
-        # The update's denominator can vanish only where the gap does.
+        # The update's denominator can vanish only where the gap does; s is
+        # kept for those entries only if there are any.
         tied = self.abs_gap == 0.0
         tied.ravel()[self.own_flat] = False
-        self.ties = bool(tied.any())
+        self.tie_sign = sign if tied.any() else None
         self.gap2 = gap * gap
-        self.hk4 = 4.0 * self.hk
-        self.vertex = -gap / np.where(self.hk != 0.0, 2.0 * self.hk, 1.0)
+        self.vertex = -gap / np.where(hk != 0.0, 2.0 * hk, 1.0)
+
+
+class _Workspace:
+    """The buffers of the sweeps of one set of running columns.
+
+    It is reused from batch to batch and rebuilt only when a column stops.
+    cols[s + 2] is the column after sweep s of a batch and hcs[s + 1] its
+    sum_l H[k, l] c[l]; cols[0], cols[1] and hcs[0] carry the last two
+    columns and the last sum of the previous batch.  The views of each
+    sweep are bound once, and every ufunc writes into a buffer.
+    """
+
+    def __init__(self, shape: tuple[int, int], steps: int) -> None:
+        self.cols = np.empty((steps + 2,) + shape)
+        self.hcs = np.empty((steps + 1, shape[0], 1))
+        self.pair = np.empty((2,) + shape)  # the stacked products
+        self.work = np.empty(shape)
+        self.mask = np.empty(shape, dtype=bool)
+        cols, hcs = self.cols, self.hcs
+        self.sweeps = [
+            (c, c[:, :, None], hc, new, new.reshape(-1), new[:, :, None], hc_new[:, :, None])
+            for c, new, hc, hc_new in zip(cols[1:-1], cols[2:], hcs[:-1], hcs[1:])
+        ]
+
+    def run(self, a: np.ndarray, t: _Terms, steps: int) -> None:
+        """Sweep steps times from cols[1]: fill cols[2 : steps + 2] and hcs[1 : steps + 1]."""
+        diag_hk, hk4_sign2, hck, gap2, abs_gap = t.diag_hk, t.hk4_sign2, t.hck, t.gap2, t.abs_gap
+        vertex, tie_sign, own, hk_rows = t.vertex, t.tie_sign, t.own_flat, t.hk_rows
+        pair, work, mask = self.pair, self.work, self.mask
+        work3 = work[:, :, None]
+        first, second = pair  # diag c, H[k, l] c; then q, 2 s y
+        for c, c3, hc, new, new_flat, new3, hc_new in self.sweeps[:steps]:
+            np.matmul(a, c3, work3)
+            np.multiply(diag_hk, c, pair)
+            np.subtract(work, first, work)
+            np.add(hck, work, work)
+            np.subtract(hc, second, second)
+            np.multiply(c, second, second)
+            np.subtract(work, second, work)  # y
+            np.multiply(hk4_sign2, work, pair)
+            np.add(gap2, first, first)  # q
+            np.sqrt(first, work)  # nan where q < 0: the vertex root replaces it
+            np.add(work, abs_gap, work)
+            np.divide(second, work, new)
+            if tie_sign is not None:  # elsewhere the denominator is > 0
+                np.equal(work, _ZERO, mask)
+                np.putmask(new, mask, tie_sign)
+            np.less(first, _ZERO, mask)
+            np.putmask(new, mask, vertex)
+            new_flat[own] = 0.0
+            np.matmul(hk_rows, new3, hc_new)
 
 
 def _sweep(
@@ -272,35 +344,27 @@ def _sweep(
     # arithmetic warnings are suppressed rather than surfaced per sweep.  The
     # vertex roots of tiny couplings in _Terms can overflow too.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = _Terms(a, states)
-        c = np.zeros((states.size, a.shape[0]))  # committed columns; entry k implicitly 1, kept 0
-        # nan never compares equal, so no column can match it on the first sweep
-        c_two_back = np.full_like(c, np.nan)
-        hc = np.zeros((states.size, 1))  # sum_l H[k, l] c[l] of the committed columns
-        energy = t.ek.copy()
+        ks = states
+        # the last two committed columns; entry k implicitly 1, kept 0.  nan
+        # never compares equal, so no column can match it on the first sweep
+        c_two_back = np.full((ks.size, a.shape[0]), np.nan)
+        c = np.zeros_like(c_two_back)
+        hc = np.zeros((ks.size, 1))  # sum_l H[k, l] c[l] of the committed columns
+        energy = np.diag(a)[ks]
+        t = ws = None
         it = 0
         while slots.size:
-            steps = min(_BATCH, max(1, _BATCH_ENTRIES // c.size), cfg.max_iterations - it)
-            # cols[s + 2] is the column after sweep s of the batch; hcs[s + 1] its hc
-            cols = np.empty((steps + 2,) + c.shape)
-            cols[0], cols[1] = c_two_back, c
-            hcs = np.empty((steps + 1,) + hc.shape)
-            hcs[0] = hc
-            t1 = np.empty(c.shape + (1,))
-            for s in range(steps):
-                c, hc, new = cols[s + 1], hcs[s], cols[s + 2]
-                np.matmul(a, c[:, :, None], out=t1)
-                y = t.hck + (t1[:, :, 0] - t.diag * c) - c * (hc - t.hk * c)
-                q = t.gap2 + t.hk4 * y
-                den = np.sqrt(np.maximum(q, 0.0)) + t.abs_gap
-                np.divide(t.sign2 * y, den, out=new)
-                if t.ties:  # elsewhere den > 0
-                    np.copyto(new, t.sign, where=den == 0.0)
-                np.copyto(new, t.vertex, where=q < 0.0)
-                new.ravel()[t.own_flat] = 0.0
-                np.matmul(t.hk_rows, new[:, :, None], out=hcs[s + 1, :, :, None])
+            if ws is None:
+                t = _Terms(a, ks)
+                ws = _Workspace(
+                    c.shape, min(_BATCH, max(1, _BATCH_ENTRIES // c.size), cfg.max_iterations - it)
+                )
+                ws.cols[0], ws.cols[1], ws.hcs[0] = c_two_back, c, hc
+            steps = min(len(ws.sweeps), cfg.max_iterations - it)
+            ws.run(a, t, steps)
 
             # The stop rules on every sweep of the batch, one row per sweep.
+            cols, hcs = ws.cols[: steps + 2], ws.hcs[: steps + 1]
             news, olds = cols[2:], cols[1:-1]
             energies = np.empty((steps + 1, slots.size))
             energies[0] = energy
@@ -336,8 +400,12 @@ def _sweep(
             it += steps
             c_two_back, c, hc, energy = cols[-2], cols[-1], hcs[-1], e1[-1]
             if done.any():
+                # copy the running rows out, then drop the old buffers before
+                # the next ones are built, so that none are held twice
                 keep = ~done
-                slots = slots[keep]
-                t = _Terms(a, t.ks[keep])
+                slots, ks = slots[keep], t.ks[keep]
                 c_two_back, c, hc, energy = c_two_back[keep], c[keep], hc[keep], energy[keep]
+                t = ws = None
+            else:
+                ws.cols[:2], ws.hcs[0] = cols[-2:], hc
     return results

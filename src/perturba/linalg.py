@@ -8,6 +8,7 @@ share any code path with them.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,6 +84,11 @@ def as_square_matrix(h) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
     return a
+
+
+def is_count(value) -> bool:
+    """Whether value is an integer, Python or numpy, other than a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def symmetry_defect(h) -> float:

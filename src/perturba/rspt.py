@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PerturbationSolution, SolveStatus, as_square_matrix
+from .linalg import PerturbationSolution, SolveStatus, as_square_matrix, is_count
 
 DIVERGENCE_GUARD = 1.0e12
 # Relative convergence tolerance of both solvers' energy and coefficient tests.
@@ -70,6 +70,8 @@ class RsptConfig:
     max_order: int = 1000
 
     def __post_init__(self) -> None:
+        if not is_count(self.max_order):
+            raise ValueError("max_order must be an integer")
         if self.max_order < 1:
             raise ValueError("max_order must be at least 1")
 

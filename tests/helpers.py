@@ -67,10 +67,13 @@ def random_dominant(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def reference_iterate(h: np.ndarray, state: int, max_iterations: int):
-    """The quadratic coefficient iteration one sweep at a time, for matrices without ties.
+    """The quadratic coefficient iteration one sweep at a time, on matrices without rotated ties.
 
     Written from the iterative module's docstring: the update on the
-    state's coupling block, then stop rules 1-4 tested after every sweep.
+    state's coupling block, with the tie-break sign(k - l) and c[l] = s
+    where the denominator is 0, then stop rules 1-4 tested after every
+    sweep.  A tied group that is symmetric and coupled within itself would
+    be rotated by the solver first; that step is not written here.
     Returns (status value, iterations, detail, energy, coefficients).
     """
     linked = (h != 0.0) | (h.T != 0.0)
@@ -81,12 +84,14 @@ def reference_iterate(h: np.ndarray, state: int, max_iterations: int):
     a = h[np.ix_(block, block)]
     k = int(np.flatnonzero(block == state)[0])
     d = a[k, k] - np.diag(a)
+    s = np.where(d == 0.0, np.sign(k - np.arange(block.size)), np.sign(d))
     c, two_back, e, hc = np.zeros(block.size), np.full(block.size, np.nan), a[k, k], 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for it in range(1, max_iterations + 1):
             y = a[:, k] + (a @ c - np.diag(a) * c) - c * (hc - a[k] * c)
             q = d * d + 4.0 * a[k] * y
-            root = np.sign(d) * y / (0.5 * (np.sqrt(np.maximum(q, 0.0)) + np.abs(d)))
+            denominator = 0.5 * (np.sqrt(np.maximum(q, 0.0)) + np.abs(d))
+            root = np.where(denominator == 0.0, s, s * y / denominator)
             new = np.where(q >= 0.0, root, -d / (2.0 * a[k]))
             new[k] = 0.0
             new_hc = a[k] @ new

@@ -251,6 +251,27 @@ class TestErrorPaths:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["linear", "--beta", "inf", "--dim", "3"],
+            ["linear", "--beta", "0.5,nan", "--dim", "3", "--synthetic-a", "0.3"],
+            ["quartic", "--beta", "inf", "--dim", "3", "--a2", "auto"],
+            ["matrix", "--problem", "linear", "--beta", "inf", "--dim", "3"],
+            ["matrix", "--problem", "osc2d", "--beta", "nan", "--nmax", "3", "--synthetic", "on"],
+        ],
+    )
+    def test_non_finite_beta_rejected_before_building(self, argv):
+        # a subprocess, so that a numpy warning would reach stderr as it
+        # does for a user, rather than be raised by the test's filters
+        proc = subprocess.run(
+            [sys.executable, "-m", "perturba.cli", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        beta = argv[argv.index("--beta") + 1].split(",")[-1]
+        assert proc.stderr == f"error: beta {beta} is not finite\n"
+
     def test_oversized_table_request(self, capsys):
         code, _, err = run_cli(["elements", "--op", "lxi", "--max-n", "501"], capsys)
         assert code == 1

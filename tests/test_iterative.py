@@ -218,6 +218,13 @@ class TestBasicBehaviour:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             IterConfig(max_iterations=0)
+        # a float or a bool would only fail, or count as 1, inside the loop
+        for bad in (2.5, 2.0, True, np.float64(3.0), "3"):
+            with pytest.raises(ValueError, match="max_iterations must be an integer"):
+                IterConfig(max_iterations=bad)
+        sol = iterate_solve(build_linear_true(0.5, 30), 20, IterConfig(max_iterations=np.int64(3)))
+        assert (sol.status, sol.iterations) == (SolveStatus.MAX_ITERATIONS_EXCEEDED, 3)
+        assert type(sol.iterations) is int
 
     def test_normalized_coefficients_unit_norm(self):
         h = np.array([[1.0, 0.5], [0.5, 2.0]])
@@ -311,6 +318,24 @@ class TestSolveAll:
         assert [s.state for s in sols] == [0, 1, 2]
         assert all(s.converged for s in sols)
 
+    def test_solutions_do_not_share_the_sweep_buffers(self):
+        # the sweeps reuse their buffers from batch to batch; a returned
+        # solution must own its numbers.  At cap 200 these states stop by
+        # every rule: converged, cycle, guard and cap
+        cfg = IterConfig(max_iterations=200)
+        first = iterate_solve_all(build_linear_true(0.5, 30), cfg)
+        first += iterate_solve_all(build_quartic_synthetic(0.3, default_quartic_a2(0.3), 30), cfg)
+        kept = [(s.coefficients.tobytes(), s.energy, s.iterations) for s in first]
+        iterate_solve_all(build_quartic_synthetic(1.0, default_quartic_a2(1.0), 60), cfg)
+        iterate_solve(build_linear_true(0.3, 30), 5, cfg)
+        details = {(s.detail or "")[:14] for s in first}
+        assert details == {"", "coefficient ma", "period-2 cycle"}
+        assert {s.status for s in first} == set(SolveStatus)
+        for s, (coefficients, energy, iterations) in zip(first, kept):
+            assert s.coefficients.tobytes() == coefficients
+            assert type(s.iterations) is int and s.iterations == iterations
+            assert type(s.energy) is float and s.energy == energy
+
     @pytest.mark.parametrize(
         "problem, cap, failure",
         [
@@ -389,6 +414,40 @@ class TestAgainstReference:
         ref = reference_iterate(h, 12, 10000)
         assert ref[:3] == ("algorithm_failure", 145, "period-2 cycle at sweep 145")
         self.assert_same(iterate_solve(h, 12), ref)
+
+    @pytest.mark.parametrize(
+        "h",
+        [
+            # states 0 and 1 tie and couple only through state 2: q = 0 and
+            # the denominator vanishes, so the partner takes c[l] = s
+            [[1.0, 0.0, 0.3], [0.0, 1.0, 0.2], [0.3, 0.2, 3.0]],
+            # a non-symmetric tie, coupled in-group but not rotated
+            [[1.0, 0.2, 0.0], [0.1, 1.0, 0.0], [0.0, 0.0, 3.0]],
+            # H[0, 1] H[1, 0] < 0 makes q < 0 at the zero gap: the vertex root
+            [[1.0, 0.2, 0.3], [-0.1, 1.0, 0.2], [0.3, 0.2, 3.0]],
+            # states 0 and 2 tie; for state 0, q = 1 + 4 (0.5)(-0.5) = 0 at
+            # the gap 1 to state 1, where the root, not s, is taken
+            [[1.0, 0.5, 0.0], [-0.5, 0.0, 0.2], [0.0, 0.2, 1.0]],
+        ],
+        ids=["uncoupled", "non-symmetric", "vertex", "zero-q-at-a-gap"],
+    )
+    def test_unrotated_ties(self, h):
+        h = np.array(h)
+        block = iterate_solve_all(h)
+        for k in range(3):
+            ref = reference_iterate(h, k, 10000)
+            self.assert_same(iterate_solve(h, k), ref)
+            self.assert_same(block[k], ref)
+
+    def test_zero_diagonal_entry_of_the_target(self):
+        # H[k, k] = 0 makes q = 0 and the denominator 0 on the state's own
+        # entry, which is not a tie: it must stay 0, not become 0 / 0
+        h = np.array([[0.0, 0.1], [0.1, 1.0]])
+        for k in range(2):
+            ref = reference_iterate(h, k, 10000)
+            assert ref[0] == "converged"
+            self.assert_same(iterate_solve(h, k), ref)
+            self.assert_same(iterate_solve_all(h)[k], ref)
 
     def test_guard(self):
         # stops at sweep 68 and reports the column of sweep 67

@@ -134,6 +134,13 @@ class TestFailureModes:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RsptConfig(max_order=0)
+        # a float or a bool would only fail, or count as 1, inside the loop
+        for bad in (2.5, 2.0, True, np.float64(3.0), "3"):
+            with pytest.raises(ValueError, match="max_order must be an integer"):
+                RsptConfig(max_order=bad)
+        sol = rspt_solve(build_linear_true(0.5, 30), 20, RsptConfig(max_order=np.int64(3)))
+        assert (sol.status, sol.iterations) == (SolveStatus.MAX_ITERATIONS_EXCEEDED, 3)
+        assert type(sol.iterations) is int
 
 
 class TestAgainstJacobi:
