@@ -98,13 +98,12 @@ def _run_rows(args, problem: str) -> tuple[list[RunResult], int]:
 
 def _cmd_bench(args) -> int:
     problem = args.command
-    exact_2d = problem == "osc2d"
-    if exact_2d:
+    if problem == "osc2d":
         # the exact column needs a bound spectrum: reject such beta before solving
         for beta in args.beta:
             exact_2d_energy(0, 0, beta)
     results, code = _run_rows(args, problem)
-    _write_out(args.out, lambda s: write_results_csv(results, s, include_exact_2d=exact_2d))
+    _write_out(args.out, lambda s: write_results_csv(results, s))
     return code
 
 

@@ -4,12 +4,13 @@ The three benchmark problems have independent reference routes:
 
 * linear: closed-form energies n + 1/2 - beta^2 / 2,
 * quartic: a table of golden benchmark energies on a fixed beta grid,
-  plus a Jacobi diagonalization of the untransformed matrix,
 * osc2d: closed-form energies of the decoupled normal modes.
 
 run_instance builds the requested matrix, dispatches to a solver and
 packages per-state rows with eigenpair residuals measured against the very
-matrix that was solved.
+matrix that was solved.  Method "oracle" diagonalizes the untransformed
+matrix with linalg.jacobi_diagonalize, its only caller; the tests take
+their exact references from LAPACK instead.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -29,10 +29,10 @@ from .hamiltonians import (
     build_quartic_true,
     build_synthetic,
 )
-from .iterative import IterConfig, iterate_solve_all
+from .iterative import iterate_solve_all
 from .linalg import SolveStatus, jacobi_diagonalize, residual_norm
 from .oscillator import wavefunction_rows
-from .rspt import RsptConfig, rspt_solve_all
+from .rspt import rspt_solve_all
 
 PROBLEMS = ("linear", "quartic", "osc2d")
 METHODS = ("rspt", "iter", "oracle")
@@ -93,28 +93,13 @@ QUARTIC_BENCHMARK: dict[float, tuple[float | None, ...]] = {
 }
 
 
-@lru_cache(maxsize=64)
-def _quartic_oracle_spectrum(beta: float, dim: int) -> np.ndarray:
-    return jacobi_diagonalize(build_quartic_true(beta, dim)).eigenvalues
+def quartic_reference_energy(n: int, beta: float) -> float:
+    """Golden benchmark energy of quartic level n at coupling beta.
 
-
-def quartic_reference_energy(
-    n: int, beta: float, source: str = "golden", oracle_dim: int = 200
-) -> float:
-    """Reference energy for quartic level n at coupling beta.
-
-    source "golden" reads the golden benchmark grid and raises
-    NotTabulatedError off-grid or where no entry exists; source "oracle"
-    diagonalizes the untransformed matrix on oracle_dim states.
+    Raises NotTabulatedError off the beta grid or where no entry exists.
     """
     if n < 0:
         raise ValueError("quantum number must be non-negative")
-    if source == "oracle":
-        if n >= oracle_dim:
-            raise ValueError(f"state {n} outside oracle basis {oracle_dim}")
-        return float(_quartic_oracle_spectrum(beta, oracle_dim)[n])
-    if source != "golden":
-        raise ValueError(f"unknown source {source!r}")
     for key, row in QUARTIC_BENCHMARK.items():
         if abs(key - beta) <= 1.0e-9:
             if n < len(row) and row[n] is not None:
@@ -129,7 +114,6 @@ class ProblemInstance:
 
     dim counts basis states for the 1-D problems; for osc2d it is the
     triangular cut n_max.  transform None solves the untransformed matrix.
-    config, when given, must match the method (RsptConfig or IterConfig).
     """
 
     problem: str
@@ -137,7 +121,6 @@ class ProblemInstance:
     dim: int
     method: str
     transform: SyntheticSpec | None = None
-    config: RsptConfig | IterConfig | None = None
 
     def __post_init__(self) -> None:
         if self.problem not in PROBLEMS:
@@ -200,44 +183,36 @@ def run_instance(instance: ProblemInstance) -> RunResult:
     basis = BasisMap2D.triangular(instance.dim) if instance.problem == "osc2d" else None
     h = build_instance_matrix(instance)
 
-    rows: list[StateRow] = []
+    # (state, energy, status, iterations, coefficients) per state
     if instance.method == "oracle":
         sol = jacobi_diagonalize(h)
-        for i, lam in enumerate(sol.eigenvalues):
-            vec = sol.eigenvectors[:, i]
-            rows.append(
-                StateRow(
-                    state=i,
-                    energy=float(lam),
-                    status=SolveStatus.CONVERGED,
-                    iterations=0,
-                    residual=residual_norm(h, float(lam), vec),
-                )
-            )
+        solved = [
+            (i, float(lam), SolveStatus.CONVERGED, 0, sol.eigenvectors[:, i])
+            for i, lam in enumerate(sol.eigenvalues)
+        ]
     else:
-        rspt = instance.method == "rspt"
-        config_type = RsptConfig if rspt else IterConfig
-        cfg = instance.config
-        if cfg is not None and not isinstance(cfg, config_type):
-            raise TypeError(f"{instance.method} method needs an {config_type.__name__}")
-        solutions = (rspt_solve_all if rspt else iterate_solve_all)(h, cfg)
-        for s in solutions:
-            rows.append(
-                StateRow(
-                    state=s.state,
-                    energy=s.energy,
-                    status=s.status,
-                    iterations=s.iterations,
-                    residual=residual_norm(h, s.energy, s.coefficients),
-                )
-            )
+        solve_all = rspt_solve_all if instance.method == "rspt" else iterate_solve_all
+        solved = [
+            (s.state, s.energy, s.status, s.iterations, s.coefficients)
+            for s in solve_all(h)
+        ]
+    rows = tuple(
+        StateRow(
+            state=state,
+            energy=energy,
+            status=status,
+            iterations=iterations,
+            residual=residual_norm(h, energy, coefficients),
+        )
+        for state, energy, status, iterations, coefficients in solved
+    )
     return RunResult(
         problem=instance.problem,
         beta=instance.beta,
         dim=h.shape[0],
         method=instance.method,
         transform=instance.transform,
-        rows=tuple(rows),
+        rows=rows,
         basis=basis,
     )
 
@@ -248,17 +223,11 @@ def convergence_frontier(
     dim: int,
     method: str,
     transform: SyntheticSpec | None = None,
-    config: RsptConfig | IterConfig | None = None,
 ) -> int:
     """Largest state f such that states 0..f all converged; -1 if none."""
     result = run_instance(
         ProblemInstance(
-            problem=problem,
-            beta=beta,
-            dim=dim,
-            method=method,
-            transform=transform,
-            config=config,
+            problem=problem, beta=beta, dim=dim, method=method, transform=transform
         )
     )
     frontier = -1
@@ -277,14 +246,22 @@ def transform_label(transform: SyntheticSpec | None) -> str:
     return f"a={transform.a:.17g}"
 
 
-def write_results_csv(results, stream, include_exact_2d: bool = False) -> None:
+def write_results_csv(results, stream) -> None:
     """Serialize RunResults as CSV, one row per state.
 
-    include_exact_2d appends the basis labels and the closed-form energy for
-    osc2d runs, matching states to basis pairs by index.  A row whose status
-    is not converged has energy nan: its last iterate is no level.  Its
-    residual is still that of the last iterate.
+    When every run is osc2d, each row also gets its basis labels n1, n2 and
+    the closed-form energy, matching states to basis pairs by index; osc2d
+    runs mixed with runs of another problem raise UnsupportedProblemError,
+    as those have no such columns.  A row whose status is not converged has
+    energy nan: its last iterate is no level.  Its residual is still that
+    of the last iterate.
     """
+    problems = {result.problem for result in results}
+    include_exact_2d = "osc2d" in problems
+    if include_exact_2d and len(problems) > 1:
+        raise UnsupportedProblemError(
+            "osc2d runs carry the exact column: do not mix them with other problems"
+        )
     writer = csv.writer(stream, lineterminator="\n")
     header = [
         "problem", "beta", "dim", "method", "transform",
@@ -310,10 +287,6 @@ def write_results_csv(results, stream, include_exact_2d: bool = False) -> None:
                 f"{row.residual:.17g}",
             ]
             if include_exact_2d:
-                if result.problem != "osc2d" or result.basis is None:
-                    raise UnsupportedProblemError(
-                        "exact column is defined for osc2d runs only"
-                    )
                 n1, n2 = result.basis.pairs[row.state]
                 record += [n1, n2, f"{exact_2d_energy(n1, n2, result.beta):.17g}"]
             writer.writerow(record)

@@ -79,17 +79,19 @@ result, down to the bits and the sweep count, is the one that testing after
 every sweep gives.  A batch never runs past the cap, and on wide blocks it
 is shorter, so that its column history stays within a fixed size.
 
-The sweeps run in a workspace that is built for one set of running columns
-and rebuilt only when one of them stops: the column history of a batch,
-every intermediate array, and the views each sweep reads and writes, bound
-once.  A batch starts by copying the last two columns of the previous one
-to the front of the history.  The products diag(H) * c and H[k, l] * c are
-one call on the stacked factors [diag; H[k, :]], and 4 H[k, l] * y and
-2 s * y one call on [4 H[k, :]; 2 s]; every number is rounded as by the
-separate products.  The root is computed as sqrt(q) without clamping q at
-0: where q < 0 the square root is nan, and the vertex root replaces that
-entry anyway, and a nan q stays nan either way.  So the denominator is
-exactly 0 only where q is 0 and the gap is 0, the tie case above.
+The sweeps run in one stack object per set of running columns, built when
+the sweep starts and rebuilt only when a column stops: the constants of the
+update, the column history of a batch, every intermediate array, and the
+views each sweep reads and writes, bound once.  A batch starts by copying
+the last two columns and the last sum_l H[k, l] c[l] of the previous one to
+the front of the history, and takes every energy from those sums.  The
+products diag(H) * c and H[k, l] * c are one call on the stacked factors
+[diag; H[k, :]], and 4 H[k, l] * y and 2 s * y one call on
+[4 H[k, :]; 2 s]; every number is rounded as by the separate products.
+The root is computed as sqrt(q) without clamping q at 0: where q < 0 the
+square root is nan, and the vertex root replaces that entry anyway, and a
+nan q stays nan either way.  So the denominator is exactly 0 only where q
+is 0 and the gap is 0, the tie case above.
 
 The method is exact for 2 x 2 matrices, including degenerate diagonals, and
 callers are expected to present matrices with non-decreasing diagonals so
@@ -215,22 +217,28 @@ def _rotate_tied_groups(a: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return rotations
 
 
-class _Terms:
-    """Per-column constants of the update for the running states ks.
+class _Stack:
+    """The running columns of one coupling block: constants, buffers and carry.
 
-    Row j of each m x n array belongs to state ks[j].  They depend only on
-    the set of running states, so they are rebuilt only when it shrinks.
+    Row j of every m x n array belongs to the state at position ks[j] of the
+    block, whose result goes to slots[j].  Everything here depends only on
+    that set of states, so the stack is built once for it, reused from batch
+    to batch and rebuilt only when a column stops.  cols[s + 2] is the column
+    after sweep s of a batch and hcs[s + 1] its sum_l H[k, l] c[l]; cols[0],
+    cols[1] and hcs[0] carry the last two columns and the last sum of the
+    previous batch, so the energies of a batch are ek + hcs.  The views of
+    each sweep are bound once, and every ufunc writes into a buffer.
     """
 
-    def __init__(self, a: np.ndarray, ks: np.ndarray) -> None:
-        n = a.shape[0]
+    def __init__(self, a: np.ndarray, ks: np.ndarray, slots: np.ndarray, carry, cap: int) -> None:
+        m, n = ks.size, a.shape[0]
         diag = np.diag(a)
-        self.ks = ks
-        self.own_flat = np.arange(ks.size) * n + ks  # entry k of each state's row
+        self.ks, self.slots = ks, slots
+        self.own_flat = np.arange(m) * n + ks  # entry k of each state's row
         self.ek = diag[ks]
         # The factors of the two stacked products of a sweep,
         # [diag; H[k, l]] * c and [4 H[k, l]; 2 s] * y.
-        self.diag_hk = np.empty((2, ks.size, n))
+        self.diag_hk = np.empty((2, m, n))
         self.diag_hk[0] = diag
         hk = self.diag_hk[1]  # H[k, l]
         np.take(a, ks, axis=0, out=hk)
@@ -251,33 +259,27 @@ class _Terms:
         self.gap2 = gap * gap
         self.vertex = -gap / np.where(hk != 0.0, 2.0 * hk, 1.0)
 
-
-class _Workspace:
-    """The buffers of the sweeps of one set of running columns.
-
-    It is reused from batch to batch and rebuilt only when a column stops.
-    cols[s + 2] is the column after sweep s of a batch and hcs[s + 1] its
-    sum_l H[k, l] c[l]; cols[0], cols[1] and hcs[0] carry the last two
-    columns and the last sum of the previous batch.  The views of each
-    sweep are bound once, and every ufunc writes into a buffer.
-    """
-
-    def __init__(self, shape: tuple[int, int], steps: int) -> None:
-        self.cols = np.empty((steps + 2,) + shape)
-        self.hcs = np.empty((steps + 1, shape[0], 1))
-        self.pair = np.empty((2,) + shape)  # the stacked products
-        self.work = np.empty(shape)
-        self.mask = np.empty(shape, dtype=bool)
+        # A batch runs at most cap sweeps, the number left, and keeps about
+        # _BATCH_ENTRIES coefficients of column history.
+        steps = min(_BATCH, max(1, _BATCH_ENTRIES // (m * n)), cap)
+        self.cols = np.empty((steps + 2, m, n))
+        self.hcs = np.empty((steps + 1, m, 1))
+        self.cols[0], self.cols[1], self.hcs[0] = carry
+        self.pair = np.empty((2, m, n))  # the stacked products
+        self.work = np.empty((m, n))
+        self.mask = np.empty((m, n), dtype=bool)
         cols, hcs = self.cols, self.hcs
         self.sweeps = [
             (c, c[:, :, None], hc, new, new.reshape(-1), new[:, :, None], hc_new[:, :, None])
             for c, new, hc, hc_new in zip(cols[1:-1], cols[2:], hcs[:-1], hcs[1:])
         ]
 
-    def run(self, a: np.ndarray, t: _Terms, steps: int) -> None:
+    def run(self, a: np.ndarray, steps: int) -> None:
         """Sweep steps times from cols[1]: fill cols[2 : steps + 2] and hcs[1 : steps + 1]."""
-        diag_hk, hk4_sign2, hck, gap2, abs_gap = t.diag_hk, t.hk4_sign2, t.hck, t.gap2, t.abs_gap
-        vertex, tie_sign, own, hk_rows = t.vertex, t.tie_sign, t.own_flat, t.hk_rows
+        diag_hk, hk4_sign2, hck, gap2, abs_gap = (
+            self.diag_hk, self.hk4_sign2, self.hck, self.gap2, self.abs_gap
+        )
+        vertex, tie_sign, own, hk_rows = self.vertex, self.tie_sign, self.own_flat, self.hk_rows
         pair, work, mask = self.pair, self.work, self.mask
         work3 = work[:, :, None]
         first, second = pair  # diag c, H[k, l] c; then q, 2 s y
@@ -320,17 +322,16 @@ def _sweep(
     a = h[np.ix_(block, block)]
     rotations = _rotate_tied_groups(a)
     results: list[PerturbationSolution | None] = [None] * states.size
-    slots = np.arange(states.size)  # result slot of each running column
 
     def finish(j: int, column, e: float, it: int, status, detail=None) -> None:
         column = column.copy()
-        column[t.ks[j]] = 1.0
+        column[st.ks[j]] = 1.0
         for g, v in rotations:
             column[g] = v @ column[g]
         coefficients = np.zeros(h.shape[0])
         coefficients[block] = column
-        results[slots[j]] = PerturbationSolution(
-            state=int(block[t.ks[j]]),
+        results[st.slots[j]] = PerturbationSolution(
+            state=int(block[st.ks[j]]),
             energy=float(e),
             coefficients=coefficients,
             iterations=it,
@@ -342,33 +343,24 @@ def _sweep(
     # before the guard stops them, and they share every array operation with
     # healthy columns; the stopping tests below handle inf/nan correctly, so
     # arithmetic warnings are suppressed rather than surfaced per sweep.  The
-    # vertex roots of tiny couplings in _Terms can overflow too.
+    # vertex roots of tiny couplings in _Stack can overflow too.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ks = states
-        # the last two committed columns; entry k implicitly 1, kept 0.  nan
-        # never compares equal, so no column can match it on the first sweep
-        c_two_back = np.full((ks.size, a.shape[0]), np.nan)
-        c = np.zeros_like(c_two_back)
-        hc = np.zeros((ks.size, 1))  # sum_l H[k, l] c[l] of the committed columns
-        energy = np.diag(a)[ks]
-        t = ws = None
+        # the last two committed columns and their sum_l H[k, l] c[l]; entry
+        # k implicitly 1, kept 0.  nan never compares equal, so no column
+        # can match it on the first sweep.  The sum starts at -0.0, as
+        # x + -0.0 is x for every x: the first energy is H[k, k] to the bit.
+        shape = (states.size, a.shape[0])
+        carry = np.full(shape, np.nan), np.zeros(shape), np.full((states.size, 1), -0.0)
+        st = _Stack(a, states, np.arange(states.size), carry, cfg.max_iterations)
         it = 0
-        while slots.size:
-            if ws is None:
-                t = _Terms(a, ks)
-                ws = _Workspace(
-                    c.shape, min(_BATCH, max(1, _BATCH_ENTRIES // c.size), cfg.max_iterations - it)
-                )
-                ws.cols[0], ws.cols[1], ws.hcs[0] = c_two_back, c, hc
-            steps = min(len(ws.sweeps), cfg.max_iterations - it)
-            ws.run(a, t, steps)
+        while True:
+            steps = min(len(st.sweeps), cfg.max_iterations - it)
+            st.run(a, steps)
 
             # The stop rules on every sweep of the batch, one row per sweep.
-            cols, hcs = ws.cols[: steps + 2], ws.hcs[: steps + 1]
+            cols, hcs = st.cols[: steps + 2], st.hcs[: steps + 1]
             news, olds = cols[2:], cols[1:-1]
-            energies = np.empty((steps + 1, slots.size))
-            energies[0] = energy
-            energies[1:] = t.ek + hcs[1:, :, 0]
+            energies = st.ek + hcs[:, :, 0]
             e0, e1 = energies[:-1], energies[1:]
             converged = np.abs(e1 - e0) <= _HALF_TOL * np.abs(e1 + e0)
             if converged.any():
@@ -398,14 +390,16 @@ def _sweep(
                 else:
                     finish(j, news[s, j], e1[s, j], sweep, SolveStatus.MAX_ITERATIONS_EXCEEDED)
             it += steps
-            c_two_back, c, hc, energy = cols[-2], cols[-1], hcs[-1], e1[-1]
-            if done.any():
-                # copy the running rows out, then drop the old buffers before
-                # the next ones are built, so that none are held twice
-                keep = ~done
-                slots, ks = slots[keep], t.ks[keep]
-                c_two_back, c, hc, energy = c_two_back[keep], c[keep], hc[keep], energy[keep]
-                t = ws = None
-            else:
-                ws.cols[:2], ws.hcs[0] = cols[-2:], hc
-    return results
+            if not done.any():
+                st.cols[:2], st.hcs[0] = cols[-2:], hcs[-1]
+                continue
+            keep = ~done
+            if not keep.any():
+                return results
+            # copy the running rows out, then drop the old stack and the views
+            # of its history before the next one is built, so that no buffer
+            # is held twice
+            ks, slots = st.ks[keep], st.slots[keep]
+            carry = cols[-2][keep], cols[-1][keep], hcs[-1][keep]
+            del st, cols, news, olds
+            st = _Stack(a, ks, slots, carry, cfg.max_iterations - it)

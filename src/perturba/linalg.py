@@ -1,8 +1,10 @@
 """Dense symmetric eigensolver and matrix utilities.
 
-The Jacobi diagonalizer here is deliberately self-contained: it serves as the
-reference oracle the perturbation solvers are checked against, so it must not
-share any code path with them.
+The Jacobi diagonalizer here is the backend of `perturba ... --method
+oracle` and nothing else; its own tests cross-check it against an inertia
+bisection that shares no code with it.  The tests that need exact
+eigenvalues as a reference for the perturbation solvers read LAPACK
+(np.linalg.eigvalsh) instead.
 """
 
 from __future__ import annotations
@@ -117,41 +119,41 @@ def residual_norm(h, energy: float, coefficients) -> float:
         return float(np.linalg.norm(a @ c - energy * c) / nrm)
 
 
-def jacobi_diagonalize(
-    h,
-    tol: float = 1.0e-12,
-    max_sweeps: int = 50,
-    symmetry_tol: float = 1.0e-12,
-) -> EigenSolution:
+_JACOBI_TOL = 1.0e-12
+_MAX_SWEEPS = 50
+_SYMMETRY_TOL = 1.0e-12
+
+
+def jacobi_diagonalize(h) -> EigenSolution:
     """Diagonalize a symmetric matrix by cyclic Jacobi rotations.
 
     Sweeps run over all (p, q) pairs in row order; a rotation is skipped when
     the target entry is already negligible against the diagonal. Iteration
-    stops once the Frobenius norm of the off-diagonal part drops below tol
-    (scaled by the matrix norm).
+    stops once the Frobenius norm of the off-diagonal part drops below
+    _JACOBI_TOL (scaled by the matrix norm).
 
     Raises NonSymmetricError for input with symmetry defect above
-    symmetry_tol and NoConvergenceError if max_sweeps sweeps do not reach
+    _SYMMETRY_TOL and NoConvergenceError if _MAX_SWEEPS sweeps do not reach
     the target.
     """
     a = as_square_matrix(h).copy()
     n = a.shape[0]
-    if symmetry_defect(a) > symmetry_tol:
+    if symmetry_defect(a) > _SYMMETRY_TOL:
         raise NonSymmetricError(
-            f"symmetry defect {symmetry_defect(a):.3e} exceeds {symmetry_tol:.1e}"
+            f"symmetry defect {symmetry_defect(a):.3e} exceeds {_SYMMETRY_TOL:.1e}"
         )
     v = np.eye(n)
     if n < 2:
         return EigenSolution(eigenvalues=np.diag(a).copy(), eigenvectors=v)
 
-    scale = max(float(np.linalg.norm(a)), 1.0)
+    target = _JACOBI_TOL * max(float(np.linalg.norm(a)), 1.0)
 
     def offnorm() -> float:
         off = a - np.diag(np.diag(a))
         return float(np.linalg.norm(off))
 
-    for _ in range(max_sweeps):
-        if offnorm() <= tol * scale:
+    for _ in range(_MAX_SWEEPS):
+        if offnorm() <= target:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -159,7 +161,7 @@ def jacobi_diagonalize(
                 if abs(apq) <= 1.0e-300:
                     continue
                 # skip entries that can no longer move the off-norm
-                if abs(apq) <= 0.5 * tol * scale / n:
+                if abs(apq) <= 0.5 * target / n:
                     continue
                 theta = (a[q, q] - a[p, p]) / (2.0 * apq)
                 t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
@@ -181,9 +183,9 @@ def jacobi_diagonalize(
                 vq = v[:, q].copy()
                 v[:, p] = c * vp - s * vq
                 v[:, q] = s * vp + c * vq
-    if offnorm() > tol * scale:
+    if offnorm() > target:
         raise NoConvergenceError(
-            f"off-diagonal norm {offnorm():.3e} after {max_sweeps} sweeps"
+            f"off-diagonal norm {offnorm():.3e} after {_MAX_SWEEPS} sweeps"
         )
 
     eigenvalues = np.diag(a).copy()

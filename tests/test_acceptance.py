@@ -45,7 +45,6 @@ from perturba.hamiltonians import (
     verify_fg_structure,
 )
 from perturba.iterative import IterConfig, iterate_solve
-from perturba.linalg import jacobi_diagonalize
 from perturba.oscillator import (
     QUAD_BAND_LIMIT,
     QUAD_ROW_LIMIT,
@@ -232,14 +231,14 @@ def test_criterion_06_coupled_2d_degenerate_levels():
 
 
 def test_criterion_07_random_matrix_oracle_agreement():
-    """Converged energies of both solvers match dense eigenvalues to 1e-9."""
+    """Converged energies of both solvers match LAPACK eigenvalues to 1e-9."""
     converged = 0
     mismatches = []
     for seed in range(200):
         rng = np.random.default_rng(10_000 + seed)
         dim = int(rng.integers(2, 11))
         h = random_dominant(rng, dim)
-        reference = jacobi_diagonalize(h).eigenvalues
+        reference = np.linalg.eigvalsh(h)
         for solver in (rspt_solve, iterate_solve):
             for k in range(dim):
                 sol = solver(h, k)

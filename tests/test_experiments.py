@@ -26,11 +26,9 @@ from perturba.experiments import (
     transform_label,
     write_results_csv,
 )
-from perturba.hamiltonians import SyntheticSpec, build_linear_true
-from perturba.iterative import IterConfig
+from perturba.hamiltonians import SyntheticSpec, build_linear_true, build_quartic_true
 from perturba.linalg import SolveStatus
 from perturba.oscillator import wavefunction_rows
-from perturba.rspt import RsptConfig
 
 
 class TestExactFormulas:
@@ -86,23 +84,14 @@ class TestQuarticReference:
     def test_oracle_agrees_with_golden(self):
         # the golden grid carries five significant digits
         for n, beta in [(0, 0.25), (2, 0.5), (3, 1.0)]:
-            oracle = quartic_reference_energy(n, beta, source="oracle")
+            exact = np.linalg.eigvalsh(build_quartic_true(beta, 200))[n]
             golden = quartic_reference_energy(n, beta)
-            assert oracle == pytest.approx(golden, rel=5e-5)
+            assert exact == pytest.approx(golden, rel=5e-5)
 
     def test_oracle_basis_stability(self):
-        for n in range(4):
-            a = quartic_reference_energy(n, 1.0, source="oracle", oracle_dim=200)
-            b = quartic_reference_energy(n, 1.0, source="oracle", oracle_dim=300)
-            assert abs(a - b) <= 1e-6
-
-    def test_oracle_state_outside_basis(self):
-        with pytest.raises(ValueError):
-            quartic_reference_energy(200, 1.0, source="oracle", oracle_dim=200)
-
-    def test_unknown_source(self):
-        with pytest.raises(ValueError):
-            quartic_reference_energy(0, 0.5, source="tea-leaves")
+        a = np.linalg.eigvalsh(build_quartic_true(1.0, 200))[:4]
+        b = np.linalg.eigvalsh(build_quartic_true(1.0, 300))[:4]
+        assert np.all(np.abs(a - b) <= 1e-6)
 
     def test_negative_state(self):
         with pytest.raises(ValueError):
@@ -140,18 +129,6 @@ class TestProblemInstance:
         t = SyntheticSpec(problem="linear", beta=0.5, a=0.5)
         with pytest.raises(ValueError):
             ProblemInstance(problem="linear", beta=0.5, dim=10, method="oracle", transform=t)
-
-    def test_config_type_checked_at_run(self):
-        bad = ProblemInstance(
-            problem="linear", beta=0.5, dim=5, method="rspt", config=IterConfig()
-        )
-        with pytest.raises(TypeError):
-            run_instance(bad)
-        bad2 = ProblemInstance(
-            problem="linear", beta=0.5, dim=5, method="iter", config=RsptConfig()
-        )
-        with pytest.raises(TypeError):
-            run_instance(bad2)
 
 
 class TestBuildInstanceMatrix:
@@ -235,9 +212,8 @@ class TestConvergenceFrontier:
         assert convergence_frontier("linear", 0.5, 25, "iter") == 10
 
     def test_no_convergence_at_all(self):
-        cfg = IterConfig(max_iterations=1)
-        # one sweep is never enough once there is any coupling
-        assert convergence_frontier("linear", 0.5, 6, "iter", config=cfg) == -1
+        # at this coupling every state of the 6-state ladder diverges
+        assert convergence_frontier("linear", 3.0, 6, "iter") == -1
 
 
 class TestCsvOutput:
@@ -279,7 +255,7 @@ class TestCsvOutput:
         inst = ProblemInstance(problem="osc2d", beta=0.4, dim=3, method="oracle")
         result = run_instance(inst)
         buf = io.StringIO()
-        write_results_csv([result], buf, include_exact_2d=True)
+        write_results_csv([result], buf)
         lines = buf.getvalue().splitlines()
         assert lines[0] == self.HEADER + ",n1,n2,exact"
         first = lines[1].split(",")
@@ -287,10 +263,17 @@ class TestCsvOutput:
         assert float(first[12]) == pytest.approx(exact_2d_energy(0, 0, 0.4))
 
     def test_exact_columns_rejected_off_2d(self):
-        inst = ProblemInstance(problem="linear", beta=0.5, dim=3, method="oracle")
-        result = run_instance(inst)
-        with pytest.raises(UnsupportedProblemError):
-            write_results_csv([result], io.StringIO(), include_exact_2d=True)
+        # the exact column belongs to osc2d runs, so they cannot share a CSV
+        osc2d = run_instance(ProblemInstance(problem="osc2d", beta=0.4, dim=2, method="oracle"))
+        linear = run_instance(ProblemInstance(problem="linear", beta=0.5, dim=3, method="oracle"))
+        buf = io.StringIO()
+        write_results_csv([linear, linear], buf)
+        assert buf.getvalue().splitlines()[0] == self.HEADER
+        for mixed in ([osc2d, linear], [linear, osc2d]):
+            buf = io.StringIO()
+            with pytest.raises(UnsupportedProblemError):
+                write_results_csv(mixed, buf)
+            assert buf.getvalue() == ""
 
     def test_round_trip_parse(self):
         import csv

@@ -28,7 +28,7 @@ from perturba.iterative import (
     iterate_solve,
     iterate_solve_all,
 )
-from perturba.linalg import SolveStatus, jacobi_diagonalize, residual_norm
+from perturba.linalg import SolveStatus, residual_norm
 from perturba.rspt import DIVERGENCE_GUARD
 
 
@@ -163,7 +163,7 @@ class TestBasicBehaviour:
         # negative for some columns; the vertex fallback must keep the
         # iteration finite and any converged answer must be a true eigenvalue
         h = np.array([[1.0, 1.0, 0.5], [1.0, 1.1, 5.0], [0.5, 5.0, 1.2]])
-        reference = jacobi_diagonalize(h).eigenvalues
+        reference = np.linalg.eigvalsh(h)
         for k in range(3):
             sol = iterate_solve(h, k, IterConfig(max_iterations=2000))
             assert sol.status in (
@@ -191,6 +191,13 @@ class TestBasicBehaviour:
             1.0, abs=1e-14
         )
         assert math.isfinite(residual)
+
+    def test_guard_on_the_first_sweep_keeps_the_diagonal_energy(self):
+        # the first sweep puts the vertex root 5e19 in c[1]; the reported
+        # energy is that of the start column, H[0, 0], down to its sign
+        sol = iterate_solve(np.array([[-0.0, 1e-20], [-1e30, 1.0]]), 0)
+        assert (sol.status, sol.iterations) == (SolveStatus.ALGORITHM_FAILURE, 1)
+        assert sol.energy == 0.0 and math.copysign(1.0, sol.energy) == -1.0
 
     def test_period_two_cycle_stops_early(self):
         # beta 0.5 state 7 of the transformed quartic falls into an exact
@@ -236,12 +243,14 @@ class TestBasicBehaviour:
 
 
 class TestAgainstJacobi:
+    """Every state of a dominant matrix converges onto an eigenvalue from LAPACK."""
+
     @pytest.mark.parametrize("seed", range(4))
     def test_dominant_matrices(self, seed):
         rng = np.random.default_rng(400 + seed)
         dim = int(rng.integers(2, 11))
         h = random_dominant(rng, dim)
-        reference = jacobi_diagonalize(h).eigenvalues
+        reference = np.linalg.eigvalsh(h)
         for sol in iterate_solve_all(h):
             assert sol.status is SolveStatus.CONVERGED
             assert float(np.min(np.abs(reference - sol.energy))) < 1e-9
@@ -252,7 +261,7 @@ class TestAgainstJacobi:
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(2, 9))
         h = random_dominant(rng, dim)
-        reference = jacobi_diagonalize(h).eigenvalues
+        reference = np.linalg.eigvalsh(h)
         for sol in iterate_solve_all(h):
             assert sol.status is SolveStatus.CONVERGED
             assert float(np.min(np.abs(reference - sol.energy))) < 1e-9
@@ -335,6 +344,25 @@ class TestSolveAll:
             assert s.coefficients.tobytes() == coefficients
             assert type(s.iterations) is int and s.iterations == iterations
             assert type(s.energy) is float and s.energy == energy
+
+    def test_cycle_on_the_first_sweep_after_a_column_stops(self):
+        # State 0 converges at sweep 28, so the other columns move to a new
+        # stack after sweep 32.  State 1 repeats its sweep-31 column at sweep
+        # 33: only the column carried over from two sweeps back shows it.
+        rng = np.random.default_rng(1033)
+        dim = int(rng.integers(3, 7))
+        h = rng.normal(size=(dim, dim)) * rng.choice([0.3, 1.0, 3.0])
+        h += np.diag(np.sort(rng.normal(size=dim) * 2))
+        h = (h + h.T) / 2
+        cfg = IterConfig(max_iterations=100)
+        sols = iterate_solve_all(h, cfg)
+        assert sols[0].converged and sols[0].iterations == 28
+        assert sols[1].detail == "period-2 cycle at sweep 33"
+        for sol in sols[:2]:
+            alone = iterate_solve(h, sol.state, cfg)
+            assert (alone.iterations, alone.status, alone.energy) == (
+                sol.iterations, sol.status, sol.energy
+            )
 
     @pytest.mark.parametrize(
         "problem, cap, failure",

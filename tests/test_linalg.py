@@ -1,4 +1,9 @@
-"""Core matrix utilities: Jacobi diagonalizer, defect measures, text format."""
+"""Core matrix utilities: Jacobi diagonalizer, defect measures, text format.
+
+The Jacobi diagonalizer backs --method oracle; these tests check it against
+closed forms, its own invariants and an inertia bisection that shares no
+code with it.
+"""
 
 import io
 import math
@@ -8,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perturba import linalg
 from perturba.linalg import (
     DimensionMismatchError,
+    NoConvergenceError,
     NonSymmetricError,
     as_square_matrix,
     jacobi_diagonalize,
@@ -147,6 +154,13 @@ class TestJacobiInvariants:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatchError):
             jacobi_diagonalize(np.ones((2, 3)))
+
+    def test_sweep_budget_exhausted(self, monkeypatch):
+        h = random_symmetric(np.random.default_rng(5), 6)
+        jacobi_diagonalize(h)  # converges within the real budget
+        monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
+        with pytest.raises(NoConvergenceError, match="after 1 sweeps"):
+            jacobi_diagonalize(h)
 
 
 class TestDefectMeasures:
