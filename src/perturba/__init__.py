@@ -59,7 +59,6 @@ from .experiments import (
     StateRow,
     UnsupportedProblemError,
     backtransform_wavefunction,
-    convergence_frontier,
     exact_2d_energy,
     exact_linear_energy,
     quartic_reference_energy,

@@ -13,6 +13,8 @@ import functools
 import sys
 
 from .experiments import (
+    METHODS,
+    PROBLEMS,
     ProblemInstance,
     RunResult,
     build_instance_matrix,
@@ -79,18 +81,20 @@ def _parse_transform(args, problem: str, beta: float) -> SyntheticSpec | None:
     return None
 
 
+def _instance(args, problem: str, beta: float) -> ProblemInstance:
+    """The run that args ask for at one beta; osc2d reads --nmax as its dim."""
+    return ProblemInstance(
+        problem=problem,
+        beta=beta,
+        dim=args.nmax if problem == "osc2d" else args.dim,
+        method=args.method,
+        transform=_parse_transform(args, problem, beta),
+    )
+
+
 def _run_rows(args, problem: str) -> tuple[list[RunResult], int]:
     # every instance is validated before the first one is built
-    instances = [
-        ProblemInstance(
-            problem=problem,
-            beta=beta,
-            dim=args.nmax if problem == "osc2d" else args.dim,
-            method=args.method,
-            transform=_parse_transform(args, problem, beta),
-        )
-        for beta in args.beta
-    ]
+    instances = [_instance(args, problem, beta) for beta in args.beta]
     results = [run_instance(instance) for instance in instances]
     failed = any(not r.all_converged for r in results)
     return results, (2 if failed else 0)
@@ -114,16 +118,7 @@ def _cmd_elements(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
-    problem = args.problem
-    # the method plays no part in building the matrix
-    instance = ProblemInstance(
-        problem=problem,
-        beta=args.beta,
-        dim=args.nmax if problem == "osc2d" else args.dim,
-        method="iter",
-        transform=_parse_transform(args, problem, args.beta),
-    )
-    h = build_instance_matrix(instance)
+    h = build_instance_matrix(_instance(args, args.problem, args.beta))
     _write_out(args.out, lambda s: write_matrix_text(h, s))
     return 0
 
@@ -146,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lin = sub.add_parser("linear", help="displaced-oscillator benchmark")
     add_common(p_lin)
     p_lin.add_argument("--dim", type=int, default=30)
-    p_lin.add_argument("--method", choices=["rspt", "iter", "oracle"], default="iter")
+    p_lin.add_argument("--method", choices=METHODS, default="iter")
     p_lin.add_argument("--synthetic-a", dest="synthetic_a", default="off",
                        help="transform coefficient, or 'off' for the true matrix")
     p_lin.set_defaults(func=_cmd_bench)
@@ -154,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_qua = sub.add_parser("quartic", help="quartic-perturbation benchmark")
     add_common(p_qua)
     p_qua.add_argument("--dim", type=int, default=100)
-    p_qua.add_argument("--method", choices=["rspt", "iter", "oracle"], default="iter")
+    p_qua.add_argument("--method", choices=METHODS, default="iter")
     p_qua.add_argument("--a2", default="off",
                        help="'off' (true matrix), 'auto' (benchmark rule) or a number")
     p_qua.set_defaults(func=_cmd_bench)
@@ -162,11 +157,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_2d = sub.add_parser("osc2d", help="coupled-oscillator benchmark")
     add_common(p_2d)
     p_2d.add_argument("--nmax", type=int, default=39,
-                      help="triangular cut on total quanta (at most 39)")
-    p_2d.add_argument("--method", choices=["iter"], default="iter")
+                      help="triangular cut on total quanta")
     p_2d.add_argument("--synthetic", choices=["on", "off"], default="on",
                       help="'on' applies the coupling transform with a = beta/2")
-    p_2d.set_defaults(func=_cmd_bench)
+    p_2d.set_defaults(func=_cmd_bench, method="iter")
 
     p_el = sub.add_parser("elements", help="dump an operator element table")
     p_el.add_argument("--op", choices=sorted(OP_TAGS), required=True)
@@ -175,8 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_el.set_defaults(func=_cmd_elements)
 
     p_mat = sub.add_parser("matrix", help="dump a benchmark matrix as text")
-    p_mat.add_argument("--problem", choices=["linear", "quartic", "osc2d"],
-                       required=True)
+    p_mat.add_argument("--problem", choices=PROBLEMS, required=True)
     p_mat.add_argument("--beta", type=float, required=True)
     p_mat.add_argument("--dim", type=int, default=30)
     p_mat.add_argument("--nmax", type=int, default=10)
@@ -184,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mat.add_argument("--a2", default="off")
     p_mat.add_argument("--synthetic", choices=["on", "off"], default="off")
     p_mat.add_argument("--out", default=None)
-    p_mat.set_defaults(func=_cmd_matrix)
+    # the method plays no part in building the matrix
+    p_mat.set_defaults(func=_cmd_matrix, method="iter")
     return parser
 
 

@@ -7,10 +7,12 @@ The three benchmark problems have independent reference routes:
 * osc2d: closed-form energies of the decoupled normal modes.
 
 run_instance builds the requested matrix, dispatches to a solver and
-packages per-state rows with eigenpair residuals measured against the very
-matrix that was solved.  Method "oracle" diagonalizes the untransformed
-matrix with linalg.jacobi_diagonalize, its only caller; the tests take
-their exact references from LAPACK instead.
+returns a RunResult: the ProblemInstance plus one StateRow per state, with
+the eigenpair residual measured against the very matrix that was solved.
+Method "oracle" diagonalizes the untransformed matrix with
+linalg.jacobi_diagonalize, its only caller, and reports each eigenpair as a
+state converged in 0 iterations; the tests take their exact references
+from LAPACK instead.
 """
 
 from __future__ import annotations
@@ -30,7 +32,13 @@ from .hamiltonians import (
     build_synthetic,
 )
 from .iterative import iterate_solve_all
-from .linalg import SolveStatus, jacobi_diagonalize, residual_norm
+from .linalg import (
+    PerturbationSolution,
+    SolveStatus,
+    is_count,
+    jacobi_diagonalize,
+    residual_norm,
+)
 from .oscillator import wavefunction_rows
 from .rspt import rspt_solve_all
 
@@ -112,8 +120,9 @@ def quartic_reference_energy(n: int, beta: float) -> float:
 class ProblemInstance:
     """One benchmark run request.
 
-    dim counts basis states for the 1-D problems; for osc2d it is the
-    triangular cut n_max.  transform None solves the untransformed matrix.
+    dim counts basis states for the 1-D problems, at least 1; for osc2d it
+    is the triangular cut n_max, at least 0.  transform None solves the
+    untransformed matrix.
     """
 
     problem: str
@@ -127,8 +136,11 @@ class ProblemInstance:
             raise UnsupportedProblemError(f"unknown problem {self.problem!r}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.dim < 1:
-            raise ValueError("dim must be positive")
+        if not is_count(self.dim):
+            raise ValueError(f"dim {self.dim!r} is not an integer")
+        least = 0 if self.problem == "osc2d" else 1
+        if self.dim < least:
+            raise ValueError(f"{self.problem} dim must be at least {least}")
         # inf or nan would only surface as invalid products in the builders
         if not math.isfinite(self.beta):
             raise ValueError(f"beta {self.beta} is not finite")
@@ -152,19 +164,24 @@ class StateRow:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Per-state outcomes of one run, in state order."""
+    """Per-state outcomes of one run of instance, in state order."""
 
-    problem: str
-    beta: float
-    dim: int
-    method: str
-    transform: SyntheticSpec | None
+    instance: ProblemInstance
     rows: tuple[StateRow, ...]
-    basis: BasisMap2D | None = None
 
     @property
     def all_converged(self) -> bool:
         return all(r.status is SolveStatus.CONVERGED for r in self.rows)
+
+    @property
+    def frontier(self) -> int:
+        """Largest state f such that states 0..f all converged; -1 if none."""
+        frontier = -1
+        for row in self.rows:
+            if row.status is not SolveStatus.CONVERGED:
+                break
+            frontier = row.state
+        return frontier
 
 
 def build_instance_matrix(instance: ProblemInstance) -> np.ndarray:
@@ -180,62 +197,33 @@ def build_instance_matrix(instance: ProblemInstance) -> np.ndarray:
 
 def run_instance(instance: ProblemInstance) -> RunResult:
     """Build, solve and package one benchmark run."""
-    basis = BasisMap2D.triangular(instance.dim) if instance.problem == "osc2d" else None
     h = build_instance_matrix(instance)
-
-    # (state, energy, status, iterations, coefficients) per state
     if instance.method == "oracle":
         sol = jacobi_diagonalize(h)
-        solved = [
-            (i, float(lam), SolveStatus.CONVERGED, 0, sol.eigenvectors[:, i])
+        solutions = [
+            PerturbationSolution(
+                state=i,
+                energy=float(lam),
+                coefficients=sol.eigenvectors[:, i],
+                iterations=0,
+                status=SolveStatus.CONVERGED,
+            )
             for i, lam in enumerate(sol.eigenvalues)
         ]
     else:
         solve_all = rspt_solve_all if instance.method == "rspt" else iterate_solve_all
-        solved = [
-            (s.state, s.energy, s.status, s.iterations, s.coefficients)
-            for s in solve_all(h)
-        ]
+        solutions = solve_all(h)
     rows = tuple(
         StateRow(
-            state=state,
-            energy=energy,
-            status=status,
-            iterations=iterations,
-            residual=residual_norm(h, energy, coefficients),
+            state=s.state,
+            energy=s.energy,
+            status=s.status,
+            iterations=s.iterations,
+            residual=residual_norm(h, s.energy, s.coefficients),
         )
-        for state, energy, status, iterations, coefficients in solved
+        for s in solutions
     )
-    return RunResult(
-        problem=instance.problem,
-        beta=instance.beta,
-        dim=h.shape[0],
-        method=instance.method,
-        transform=instance.transform,
-        rows=rows,
-        basis=basis,
-    )
-
-
-def convergence_frontier(
-    problem: str,
-    beta: float,
-    dim: int,
-    method: str,
-    transform: SyntheticSpec | None = None,
-) -> int:
-    """Largest state f such that states 0..f all converged; -1 if none."""
-    result = run_instance(
-        ProblemInstance(
-            problem=problem, beta=beta, dim=dim, method=method, transform=transform
-        )
-    )
-    frontier = -1
-    for row in result.rows:
-        if row.status is not SolveStatus.CONVERGED:
-            break
-        frontier = row.state
-    return frontier
+    return RunResult(instance=instance, rows=rows)
 
 
 def transform_label(transform: SyntheticSpec | None) -> str:
@@ -249,14 +237,15 @@ def transform_label(transform: SyntheticSpec | None) -> str:
 def write_results_csv(results, stream) -> None:
     """Serialize RunResults as CSV, one row per state.
 
-    When every run is osc2d, each row also gets its basis labels n1, n2 and
-    the closed-form energy, matching states to basis pairs by index; osc2d
-    runs mixed with runs of another problem raise UnsupportedProblemError,
-    as those have no such columns.  A row whose status is not converged has
-    energy nan: its last iterate is no level.  Its residual is still that
-    of the last iterate.
+    The dim column counts a run's rows, the size of the solved matrix, not
+    osc2d's cut n_max.  When every run is osc2d, each row also gets its
+    basis labels n1, n2 and the closed-form energy, matching states to basis
+    pairs by index; osc2d runs mixed with runs of another problem raise
+    UnsupportedProblemError, as those have no such columns.  A row whose
+    status is not converged has energy nan: its last iterate is no level.
+    Its residual is still that of the last iterate.
     """
-    problems = {result.problem for result in results}
+    problems = {result.instance.problem for result in results}
     include_exact_2d = "osc2d" in problems
     if include_exact_2d and len(problems) > 1:
         raise UnsupportedProblemError(
@@ -271,14 +260,17 @@ def write_results_csv(results, stream) -> None:
         header += ["n1", "n2", "exact"]
     writer.writerow(header)
     for result in results:
-        label = transform_label(result.transform)
+        inst = result.instance
+        label = transform_label(inst.transform)
+        if include_exact_2d:
+            pairs = BasisMap2D.triangular(inst.dim).pairs
         for row in result.rows:
             energy = row.energy if row.status is SolveStatus.CONVERGED else math.nan
             record = [
-                result.problem,
-                f"{result.beta:.17g}",
-                result.dim,
-                result.method,
+                inst.problem,
+                f"{inst.beta:.17g}",
+                len(result.rows),
+                inst.method,
                 label,
                 row.state,
                 f"{energy:.17g}",
@@ -287,8 +279,8 @@ def write_results_csv(results, stream) -> None:
                 f"{row.residual:.17g}",
             ]
             if include_exact_2d:
-                n1, n2 = result.basis.pairs[row.state]
-                record += [n1, n2, f"{exact_2d_energy(n1, n2, result.beta):.17g}"]
+                n1, n2 = pairs[row.state]
+                record += [n1, n2, f"{exact_2d_energy(n1, n2, inst.beta):.17g}"]
             writer.writerow(record)
 
 

@@ -2,10 +2,12 @@
 
 Everything works in the dimensionless coordinate of a unit oscillator, where
 state n has energy n + 1/2.  Matrix elements of xi, xi^2, xi^3 and xi^4 come
-from closed-form band expressions.  The absolute-value operators |xi| and
-|xi|^3 (tagged lambda_xi and lambda_xi3) have no finite band, so those
-elements are integrated numerically on the half line and extended to very
-large indices by power-law scaling of anchor values:
+from closed-form band expressions, each written once in _BANDS: the tables
+evaluate a band on an index array, the scalar lookups at one index.  The
+absolute-value operators |xi| and |xi|^3 (tagged lambda_xi and lambda_xi3)
+have no finite band, so those elements are integrated numerically on the
+half line and extended to very large indices by power-law scaling of anchor
+values:
 
 * they vanish whenever n + m is odd,
 * numerical integration is trusted for min(n, m) <= 100 - k/2 with
@@ -103,51 +105,51 @@ def _check_indices(n: int, m: int) -> None:
         raise IndexOutOfRangeError(f"indices above {TABLE_LIMIT} are not tabulated")
 
 
+# <a|xi^p|a+k> for each band k of each closed-form operator, as a function
+# of the smaller index a: a Python int or a numpy index array.  Both give
+# the same bits, so tables and scalar lookups agree exactly
+_BANDS = {
+    "xi": {1: lambda a: np.sqrt((a + 1) / 2.0)},
+    "xi2": {
+        0: lambda a: a + 0.5,
+        2: lambda a: 0.5 * np.sqrt((a + 1.0) * (a + 2.0)),
+    },
+    "xi3": {
+        1: lambda a: 1.5 * (a + 1.0) * np.sqrt((a + 1.0) / 2.0),
+        3: lambda a: 0.5 * np.sqrt((a + 1.0) * (a + 2.0) * (a + 3.0) / 2.0),
+    },
+    "xi4": {
+        0: lambda a: 0.75 * (2.0 * a * a + 2.0 * a + 1.0),
+        2: lambda a: (a + 1.5) * np.sqrt((a + 1.0) * (a + 2.0)),
+        4: lambda a: 0.25 * np.sqrt((a + 1.0) * (a + 2.0) * (a + 3.0) * (a + 4.0)),
+    },
+}
+
+
+def _band_element(tag: str, n: int, m: int) -> float:
+    _check_indices(n, m)
+    band = _BANDS[tag].get(abs(n - m))
+    return 0.0 if band is None else float(band(min(n, m)))
+
+
 def xi_element(n: int, m: int) -> float:
     """<n|xi|m>: single band at |n - m| = 1."""
-    _check_indices(n, m)
-    a, b = min(n, m), max(n, m)
-    if b - a == 1:
-        return math.sqrt((a + 1) / 2.0)
-    return 0.0
+    return _band_element("xi", n, m)
 
 
 def xi2_element(n: int, m: int) -> float:
     """<n|xi^2|m>: bands at |n - m| = 0 and 2."""
-    _check_indices(n, m)
-    a, b = min(n, m), max(n, m)
-    k = b - a
-    if k == 0:
-        return a + 0.5
-    if k == 2:
-        return 0.5 * math.sqrt((a + 1.0) * (a + 2.0))
-    return 0.0
+    return _band_element("xi2", n, m)
 
 
 def xi3_element(n: int, m: int) -> float:
     """<n|xi^3|m>: bands at |n - m| = 1 and 3."""
-    _check_indices(n, m)
-    a, b = min(n, m), max(n, m)
-    k = b - a
-    if k == 1:
-        return 1.5 * (a + 1.0) * math.sqrt((a + 1.0) / 2.0)
-    if k == 3:
-        return 0.5 * math.sqrt((a + 1.0) * (a + 2.0) * (a + 3.0) / 2.0)
-    return 0.0
+    return _band_element("xi3", n, m)
 
 
 def xi4_element(n: int, m: int) -> float:
     """<n|xi^4|m>: bands at |n - m| = 0, 2 and 4."""
-    _check_indices(n, m)
-    a, b = min(n, m), max(n, m)
-    k = b - a
-    if k == 0:
-        return 0.75 * (2.0 * a * a + 2.0 * a + 1.0)
-    if k == 2:
-        return (a + 1.5) * math.sqrt((a + 1.0) * (a + 2.0))
-    if k == 4:
-        return 0.25 * math.sqrt((a + 1.0) * (a + 2.0) * (a + 3.0) * (a + 4.0))
-    return 0.0
+    return _band_element("xi4", n, m)
 
 
 @lru_cache(maxsize=8)
@@ -183,23 +185,13 @@ class ElementTable:
         return float(self.values[n, m])
 
 
-_CLOSED_FORMS = {
-    "xi": xi_element,
-    "xi2": xi2_element,
-    "xi3": xi3_element,
-    "xi4": xi4_element,
-}
-
-
 def _banded_table(tag: str, max_n: int) -> np.ndarray:
-    fn = _CLOSED_FORMS[tag]
     vals = np.zeros((max_n + 1, max_n + 1))
-    bands = {"xi": (1,), "xi2": (0, 2), "xi3": (1, 3), "xi4": (0, 2, 4)}[tag]
-    for k in bands:
-        for a in range(max_n + 1 - k):
-            v = fn(a, a + k)
-            vals[a, a + k] = v
-            vals[a + k, a] = v
+    for k, band in _BANDS[tag].items():
+        a = np.arange(max_n + 1 - k)
+        v = band(a)
+        vals[a, a + k] = v
+        vals[a + k, a] = v
     return vals
 
 
@@ -246,7 +238,7 @@ def build_element_table(tag: str, max_n: int) -> ElementTable:
         raise IndexOutOfRangeError("max_n must be non-negative")
     if max_n > TABLE_LIMIT:
         raise IndexOutOfRangeError(f"max_n above {TABLE_LIMIT} is not supported")
-    if tag in _CLOSED_FORMS:
+    if tag in _BANDS:
         vals = _banded_table(tag, max_n)
     else:
         power = 1 if tag == "lambda_xi" else 3

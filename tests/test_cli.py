@@ -113,6 +113,8 @@ class TestOsc2dCommand:
         code, out, _ = run_cli(["osc2d", "--beta", "0.4", "--nmax", "5"], capsys)
         records = parse_csv(out)
         assert len(records) == 21  # triangular cut keeps (nmax+1)(nmax+2)/2 states
+        # dim is the matrix size, not the cut; osc2d always runs the iteration
+        assert {(rec["dim"], rec["method"]) for rec in records} == {("21", "iter")}
         assert code in (0, 2)
         first = records[0]
         assert first["n1"] == "0" and first["n2"] == "0"
@@ -121,6 +123,17 @@ class TestOsc2dCommand:
         assert first["status"] == "converged"
         assert float(first["energy"]) == pytest.approx(exact, abs=1e-6)
         assert float(first["transform"].removeprefix("a=")) == pytest.approx(0.2)
+
+    def test_zero_cut_run(self, capsys):
+        # cut 0 keeps the single pair (0, 0): the true matrix is [[1.0]]
+        code, out, _ = run_cli(
+            ["osc2d", "--beta", "0.4", "--nmax", "0", "--synthetic", "off"], capsys
+        )
+        assert code == 0
+        (rec,) = parse_csv(out)
+        assert (rec["dim"], rec["state"], rec["n1"], rec["n2"]) == ("1", "0", "0", "0")
+        assert rec["status"] == "converged"
+        assert float(rec["energy"]) == pytest.approx(1.0, abs=1e-15)
 
     def test_true_matrix_variant(self, capsys):
         code, out, _ = run_cli(
@@ -237,6 +250,7 @@ class TestErrorPaths:
             ["linear", "--beta", "abc"],               # malformed beta list
             ["linear", "--beta", ""],                  # empty beta list
             ["elements", "--op", "xi5", "--max-n", "3"],  # unknown operator
+            ["osc2d", "--beta", "0.4", "--method", "iter"],  # osc2d has one method
         ],
     )
     def test_usage_errors_exit_1(self, argv, capsys):

@@ -18,7 +18,6 @@ from perturba.experiments import (
     UnsupportedProblemError,
     backtransform_wavefunction,
     build_instance_matrix,
-    convergence_frontier,
     exact_2d_energy,
     exact_linear_energy,
     quartic_reference_energy,
@@ -114,6 +113,25 @@ class TestProblemInstance:
     def test_bad_dim(self):
         with pytest.raises(ValueError):
             ProblemInstance(problem="linear", beta=0.5, dim=0, method="iter")
+        with pytest.raises(ValueError):
+            ProblemInstance(problem="osc2d", beta=0.4, dim=-1, method="iter")
+
+    def test_osc2d_zero_cut_is_one_state(self):
+        # osc2d's dim is the cut n_max: 0 keeps the single pair (0, 0)
+        inst = ProblemInstance(problem="osc2d", beta=0.4, dim=0, method="iter")
+        result = run_instance(inst)
+        assert len(result.rows) == 1
+        assert result.all_converged
+        assert result.rows[0].energy == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("dim", [2.5, 3.0, True, "3", None])
+    def test_non_integer_dim(self, dim):
+        with pytest.raises(ValueError, match="not an integer"):
+            ProblemInstance(problem="linear", beta=0.5, dim=dim, method="iter")
+
+    def test_numpy_integer_dim(self):
+        inst = ProblemInstance(problem="linear", beta=0.5, dim=np.int64(4), method="iter")
+        assert build_instance_matrix(inst).shape == (4, 4)
 
     def test_transform_problem_mismatch(self):
         t = SyntheticSpec(problem="quartic", beta=0.5, a2=-0.35)
@@ -167,10 +185,8 @@ class TestRunInstance:
     def test_osc2d_dim_is_triangular_cut(self):
         inst = ProblemInstance(problem="osc2d", beta=0.4, dim=5, method="oracle")
         result = run_instance(inst)
-        assert result.basis is not None
-        assert result.basis.size == 21
-        assert result.dim == 21  # reports matrix size, not the cut
-        assert len(result.rows) == 21
+        assert result.instance is inst
+        assert len(result.rows) == 21  # (nmax+1)(nmax+2)/2 states at cut 5
 
     def test_all_converged_false_on_failures(self):
         inst = ProblemInstance(
@@ -208,46 +224,72 @@ class TestConvergenceFrontier:
         assert all(s is SolveStatus.CONVERGED for s in iter_status)
 
     def test_linear_true_frontier(self):
-        assert convergence_frontier("linear", 0.5, 25, "rspt") == 10
-        assert convergence_frontier("linear", 0.5, 25, "iter") == 10
+        for method in ("rspt", "iter"):
+            inst = ProblemInstance(problem="linear", beta=0.5, dim=25, method=method)
+            assert run_instance(inst).frontier == 10
 
     def test_no_convergence_at_all(self):
         # at this coupling every state of the 6-state ladder diverges
-        assert convergence_frontier("linear", 3.0, 6, "iter") == -1
+        inst = ProblemInstance(problem="linear", beta=3.0, dim=6, method="iter")
+        assert run_instance(inst).frontier == -1
+
+    @staticmethod
+    def _result(statuses):
+        rows = tuple(
+            StateRow(state=i, energy=float(i), status=status, iterations=1, residual=0.0)
+            for i, status in enumerate(statuses)
+        )
+        inst = ProblemInstance(problem="linear", beta=0.5, dim=len(rows), method="iter")
+        return RunResult(instance=inst, rows=rows)
+
+    def test_frontier_of_hand_built_results(self):
+        ok, capped = SolveStatus.CONVERGED, SolveStatus.MAX_ITERATIONS_EXCEEDED
+        # the frontier stops at the first failure, whatever converges after it
+        assert self._result([ok, ok, capped, ok]).frontier == 1
+        assert self._result([ok, ok, ok]).frontier == 2
+        assert self._result([capped, ok, ok]).frontier == -1
+        assert self._result([SolveStatus.ALGORITHM_FAILURE]).frontier == -1
 
 
 class TestCsvOutput:
     HEADER = "problem,beta,dim,method,transform,state,energy,status,iterations,residual"
 
     def test_golden_line(self):
-        row = StateRow(
-            state=0, energy=0.5, status=SolveStatus.CONVERGED, iterations=3,
-            residual=1e-12,
+        rows = tuple(
+            StateRow(
+                state=n, energy=n + 0.5, status=SolveStatus.CONVERGED, iterations=3,
+                residual=1e-12,
+            )
+            for n in range(2)
         )
         result = RunResult(
-            problem="linear", beta=0.5, dim=2, method="iter", transform=None,
-            rows=(row,),
+            instance=ProblemInstance(problem="linear", beta=0.5, dim=2, method="iter"),
+            rows=rows,
         )
         buf = io.StringIO()
         write_results_csv([result], buf)
         lines = buf.getvalue().splitlines()
         assert lines[0] == self.HEADER
         assert lines[1] == "linear,0.5,2,iter,none,0,0.5,converged,3,9.9999999999999998e-13"
+        assert lines[2] == "linear,0.5,2,iter,none,1,1.5,converged,3,9.9999999999999998e-13"
+        assert len(lines) == 3
 
     def test_transform_column(self):
-        row = StateRow(
-            state=1, energy=2.0, status=SolveStatus.MAX_ITERATIONS_EXCEEDED,
-            iterations=10, residual=0.5,
+        rows = tuple(
+            StateRow(
+                state=n, energy=2.0, status=SolveStatus.MAX_ITERATIONS_EXCEEDED,
+                iterations=10, residual=0.5,
+            )
+            for n in range(4)
         )
-        result = RunResult(
+        inst = ProblemInstance(
             problem="quartic", beta=1.0, dim=4, method="rspt",
             transform=SyntheticSpec(problem="quartic", beta=1.0, a2=-0.375),
-            rows=(row,),
         )
         buf = io.StringIO()
-        write_results_csv([result], buf)
-        fields = buf.getvalue().splitlines()[1].split(",")
-        assert fields[4] == "a2=-0.375"
+        write_results_csv([RunResult(instance=inst, rows=rows)], buf)
+        fields = buf.getvalue().splitlines()[2].split(",")
+        assert fields[2:6] == ["4", "rspt", "a2=-0.375", "1"]
         # a failed row's last iterate is no level: energy nan, residual kept
         assert fields[6:10] == ["nan", "max_iterations_exceeded", "10", "0.5"]
 
@@ -259,8 +301,11 @@ class TestCsvOutput:
         lines = buf.getvalue().splitlines()
         assert lines[0] == self.HEADER + ",n1,n2,exact"
         first = lines[1].split(",")
+        assert first[2] == "10"  # the matrix size at cut 3, not the cut
         assert first[10] == "0" and first[11] == "0"
         assert float(first[12]) == pytest.approx(exact_2d_energy(0, 0, 0.4))
+        last = lines[-1].split(",")
+        assert last[10:12] == ["3", "0"]  # ordered by total quanta, then n1
 
     def test_exact_columns_rejected_off_2d(self):
         # the exact column belongs to osc2d runs, so they cannot share a CSV
