@@ -32,13 +32,12 @@ from .oscillator import (
     xi4_element,
     xi_element,
 )
-from .rspt import OrderHistory, RsptConfig, rspt_solve, rspt_solve_all
-from .iterative import IterConfig, iterate_solve, iterate_solve_all
+from .rspt import OrderHistory, rspt_solve, rspt_solve_all
+from .iterative import iterate_solve, iterate_solve_all
 from .hamiltonians import (
     BasisMap2D,
     FgReport,
     StructureViolationError,
-    SyntheticSpec,
     a2_from_quantum_number,
     build_2d_synthetic,
     build_2d_true,
@@ -48,6 +47,7 @@ from .hamiltonians import (
     build_quartic_true,
     build_synthetic,
     default_quartic_a2,
+    quartic_a3,
     verify_fg_structure,
 )
 from .experiments import (

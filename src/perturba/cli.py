@@ -22,7 +22,7 @@ from .experiments import (
     run_instance,
     write_results_csv,
 )
-from .hamiltonians import SyntheticSpec, default_quartic_a2
+from .hamiltonians import default_quartic_a2
 from .linalg import write_matrix_text
 from .oscillator import cached_element_table, write_table_csv
 
@@ -34,6 +34,10 @@ OP_TAGS = {
     "lxi": "lambda_xi",
     "lxi3": "lambda_xi3",
 }
+
+# Each problem's transform flag; matrix, which takes all three, rejects the
+# flags of the problems it was not asked for.
+_TRANSFORM_FLAGS = {"linear": "--synthetic-a", "quartic": "--a2", "osc2d": "--synthetic"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,22 +67,20 @@ def _write_out(path: str | None, write) -> None:
         write(stream)
 
 
-def _parse_transform(args, problem: str, beta: float) -> SyntheticSpec | None:
-    if problem == "linear":
-        raw = args.synthetic_a
-        if raw == "off":
-            return None
-        return SyntheticSpec(problem="linear", beta=beta, a=float(raw))
-    if problem == "quartic":
-        raw = args.a2
-        if raw == "off":
-            return None
-        if raw == "auto":
-            return SyntheticSpec(problem="quartic", beta=beta, a2=default_quartic_a2(beta))
-        return SyntheticSpec(problem="quartic", beta=beta, a2=float(raw))
-    if args.synthetic == "on":
-        return SyntheticSpec(problem="osc2d", beta=beta, a=0.5 * beta)
-    return None
+def _flag_value(args, flag: str) -> str:
+    return getattr(args, flag[2:].replace("-", "_"))
+
+
+def _parse_transform(args, problem: str, beta: float) -> float | None:
+    """The transform coefficient that args give problem at beta; None if off."""
+    raw = _flag_value(args, _TRANSFORM_FLAGS[problem])
+    if raw == "off":
+        return None
+    if problem == "osc2d":  # --synthetic on
+        return 0.5 * beta
+    if problem == "quartic" and raw == "auto":
+        return default_quartic_a2(beta)
+    return float(raw)
 
 
 def _instance(args, problem: str, beta: float) -> ProblemInstance:
@@ -118,6 +120,9 @@ def _cmd_elements(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
+    for owner, flag in _TRANSFORM_FLAGS.items():
+        if owner != args.problem and _flag_value(args, flag) != "off":
+            raise ValueError(f"{flag} is the {owner} transform flag; --problem is {args.problem}")
     h = build_instance_matrix(_instance(args, args.problem, args.beta))
     _write_out(args.out, lambda s: write_matrix_text(h, s))
     return 0

@@ -19,17 +19,18 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hamiltonians import (
     BasisMap2D,
-    SyntheticSpec,
     build_2d_true,
     build_linear_true,
     build_quartic_true,
     build_synthetic,
+    quartic_a3,
 )
 from .iterative import iterate_solve_all
 from .linalg import (
@@ -116,20 +117,30 @@ def quartic_reference_energy(n: int, beta: float) -> float:
     raise NotTabulatedError(f"beta {beta} not on the benchmark grid")
 
 
+def _check_finite(name: str, value) -> None:
+    """Raise ValueError unless value is a finite real number other than a bool."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} {value!r} is not a real number")
+    # inf or nan would only surface as invalid products in the builders
+    if not math.isfinite(value):
+        raise ValueError(f"{name} {value} is not finite")
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """One benchmark run request.
 
     dim counts basis states for the 1-D problems, at least 1; for osc2d it
-    is the triangular cut n_max, at least 0.  transform None solves the
-    untransformed matrix.
+    is the triangular cut n_max, at least 0.  transform is the coefficient
+    of the transform generator, a for linear and osc2d and a2 for quartic
+    (whose a3 is fixed by beta); None solves the untransformed matrix.
     """
 
     problem: str
     beta: float
     dim: int
     method: str
-    transform: SyntheticSpec | None = None
+    transform: float | None = None
 
     def __post_init__(self) -> None:
         if self.problem not in PROBLEMS:
@@ -141,14 +152,11 @@ class ProblemInstance:
         least = 0 if self.problem == "osc2d" else 1
         if self.dim < least:
             raise ValueError(f"{self.problem} dim must be at least {least}")
-        # inf or nan would only surface as invalid products in the builders
-        if not math.isfinite(self.beta):
-            raise ValueError(f"beta {self.beta} is not finite")
+        _check_finite("beta", self.beta)
         if self.transform is not None:
-            if self.transform.problem != self.problem:
-                raise ValueError("transform problem does not match instance")
-            if self.transform.beta != self.beta:
-                raise ValueError("transform beta does not match instance")
+            _check_finite("transform", self.transform)
+            if self.beta < 0.0:
+                raise ValueError("beta must be non-negative")
         if self.method == "oracle" and self.transform is not None:
             raise ValueError("the oracle diagonalizes the true matrix only")
 
@@ -187,7 +195,7 @@ class RunResult:
 def build_instance_matrix(instance: ProblemInstance) -> np.ndarray:
     """Materialize the matrix a ProblemInstance asks for."""
     if instance.transform is not None:
-        return build_synthetic(instance.transform, instance.dim)
+        return build_synthetic(instance.problem, instance.beta, instance.transform, instance.dim)
     if instance.problem == "linear":
         return build_linear_true(instance.beta, instance.dim)
     if instance.problem == "quartic":
@@ -226,12 +234,12 @@ def run_instance(instance: ProblemInstance) -> RunResult:
     return RunResult(instance=instance, rows=rows)
 
 
-def transform_label(transform: SyntheticSpec | None) -> str:
-    if transform is None:
+def transform_label(instance: ProblemInstance) -> str:
+    """The CSV transform column: none, a=<a> or, for quartic, a2=<a2>."""
+    if instance.transform is None:
         return "none"
-    if transform.problem == "quartic":
-        return f"a2={transform.a2:.17g}"
-    return f"a={transform.a:.17g}"
+    name = "a2" if instance.problem == "quartic" else "a"
+    return f"{name}={instance.transform:.17g}"
 
 
 def write_results_csv(results, stream) -> None:
@@ -261,7 +269,7 @@ def write_results_csv(results, stream) -> None:
     writer.writerow(header)
     for result in results:
         inst = result.instance
-        label = transform_label(inst.transform)
+        label = transform_label(inst)
         if include_exact_2d:
             pairs = BasisMap2D.triangular(inst.dim).pairs
         for row in result.rows:
@@ -289,28 +297,26 @@ def _trapezoid(y: np.ndarray, x: np.ndarray) -> float:
     return float(trap(y, x))
 
 
-def backtransform_wavefunction(
-    transform: SyntheticSpec | None, solution, grid
-) -> np.ndarray:
-    """Coordinate-space wavefunction from a solved coefficient column.
+def backtransform_wavefunction(instance: ProblemInstance, solution, grid) -> np.ndarray:
+    """Coordinate-space wavefunction from a solved coefficient column of instance.
 
     Applies exp(-S) to the basis expansion and normalizes to unit trapezoid
-    norm on the grid.  transform None means no reweighting.  Only the 1-D
-    problems have a coordinate representation here.
+    norm on the grid; an untransformed instance needs no reweighting.  Only
+    the 1-D problems have a coordinate representation here: osc2d raises
+    UnsupportedProblemError, transformed or not.
     """
+    if instance.problem == "osc2d":
+        raise UnsupportedProblemError("osc2d has no single-coordinate wavefunction")
     x = np.asarray(grid, dtype=float)
     c = np.asarray(solution.coefficients, dtype=float)
     psi = wavefunction_rows(c.size - 1, x)
     wave = c @ psi
-    if transform is not None:
-        if transform.problem == "linear":
-            s = transform.a * x
-        elif transform.problem == "quartic":
-            s = transform.a2 * x * x + transform.a3 * np.abs(x) ** 3
+    a = instance.transform
+    if a is not None:
+        if instance.problem == "linear":
+            s = a * x
         else:
-            raise UnsupportedProblemError(
-                "osc2d has no single-coordinate wavefunction"
-            )
+            s = a * x * x + quartic_a3(instance.beta) * np.abs(x) ** 3
         wave = wave * np.exp(-s)
     norm = math.sqrt(_trapezoid(wave * wave, x))
     if norm == 0.0:

@@ -38,41 +38,9 @@ class StructureViolationError(ValueError):
     pass
 
 
-def _quartic_a3(beta: float) -> float:
+def quartic_a3(beta: float) -> float:
     """Cubic transform coefficient that cancels the quartic growth."""
     return math.sqrt(2.0 * beta) / 3.0
-
-
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Transform parameters for one synthetic Hamiltonian.
-
-    a applies to the linear and osc2d generators; a2 to the quartic one,
-    whose cubic coefficient a3 is fixed by beta.
-    """
-
-    problem: str
-    beta: float
-    a: float | None = None
-    a2: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.problem not in ("linear", "quartic", "osc2d"):
-            raise ValueError(f"unknown problem {self.problem!r}")
-        if self.problem in ("linear", "osc2d"):
-            if self.a is None or self.a2 is not None:
-                raise ValueError(f"{self.problem} transform takes a only")
-        else:
-            if self.a2 is None or self.a is not None:
-                raise ValueError("quartic transform takes a2 only")
-        if self.beta < 0.0:
-            raise ValueError("beta must be non-negative")
-
-    @property
-    def a3(self) -> float:
-        if self.problem != "quartic":
-            raise ValueError("a3 is defined for the quartic transform only")
-        return _quartic_a3(self.beta)
 
 
 def build_linear_true(beta: float, dim: int) -> np.ndarray:
@@ -120,7 +88,7 @@ def build_quartic_synthetic(beta: float, a2: float, dim: int) -> np.ndarray:
     """
     if dim < 1:
         raise ValueError("dim must be positive")
-    a3 = _quartic_a3(beta)
+    a3 = quartic_a3(beta)
     idx = np.arange(dim)
     nm = idx[:, None] - idx[None, :]
     x2 = cached_element_table("xi2", dim - 1).values
@@ -228,64 +196,71 @@ class FgReport:
     central_dim: int
 
 
-def _transform_f_g(spec: SyntheticSpec, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _transform_f_g(
+    problem: str, beta: float, a: float, dim: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """True H, F and G matrices for one transform on dim states."""
-    if spec.problem == "linear":
-        h = build_linear_true(spec.beta, dim)
+    if problem == "linear":
+        h = build_linear_true(beta, dim)
         e0 = np.arange(dim) + 0.5
-        s = spec.a * cached_element_table("xi", dim - 1).values[:dim, :dim]
+        s = a * cached_element_table("xi", dim - 1).values[:dim, :dim]
         f = (e0[None, :] - e0[:, None]) * s
-        g = 0.5 * spec.a**2 * np.eye(dim)
+        g = 0.5 * a**2 * np.eye(dim)
         return h, f, g
-    if spec.problem == "quartic":
-        h = build_quartic_true(spec.beta, dim)
+    if problem == "quartic":
+        a3 = quartic_a3(beta)
+        h = build_quartic_true(beta, dim)
         e0 = np.arange(dim) + 0.5
         x2 = cached_element_table("xi2", dim - 1).values[:dim, :dim]
         x4 = cached_element_table("xi4", dim - 1).values[:dim, :dim]
         l3 = cached_element_table("lambda_xi3", dim - 1).values[:dim, :dim]
-        s = spec.a2 * x2 + spec.a3 * l3
+        s = a * x2 + a3 * l3
         f = (e0[None, :] - e0[:, None]) * s
-        g = 2.0 * spec.a2**2 * x2 + 6.0 * spec.a2 * spec.a3 * l3 + spec.beta * x4
+        g = 2.0 * a**2 * x2 + 6.0 * a * a3 * l3 + beta * x4
         return h, f, g
     n1, n2 = _pair_arrays(dim)
-    h = build_2d_true(spec.beta, dim)
+    h = build_2d_true(beta, dim)
     xi = cached_element_table("xi", dim).values
     x2tab = cached_element_table("xi2", dim).values
-    s = spec.a * xi[n1[:, None], n1[None, :]] * xi[n2[:, None], n2[None, :]]
+    s = a * xi[n1[:, None], n1[None, :]] * xi[n2[:, None], n2[None, :]]
     e0 = n1 + n2 + 1.0
     f = (e0[None, :] - e0[:, None]) * s
     same1 = n1[:, None] == n1[None, :]
     same2 = n2[:, None] == n2[None, :]
-    g = 0.5 * spec.a**2 * (
+    g = 0.5 * a**2 * (
         x2tab[n1[:, None], n1[None, :]] * same2
         + x2tab[n2[:, None], n2[None, :]] * same1
     )
     return h, f, g
 
 
-def build_synthetic(spec: SyntheticSpec, dim: int) -> np.ndarray:
-    """Dispatch to the matching synthetic builder.
+def build_synthetic(problem: str, beta: float, a: float, dim: int) -> np.ndarray:
+    """Dispatch to the synthetic builder of problem.
 
+    a is the transform coefficient: a for linear and osc2d, a2 for quartic.
     dim counts basis states for the 1-D problems and is the triangular cut
-    n_max for osc2d.
+    n_max for osc2d.  Raises ValueError on an unknown problem.
     """
-    if spec.problem == "linear":
-        return build_linear_synthetic(spec.beta, spec.a, dim)
-    if spec.problem == "quartic":
-        return build_quartic_synthetic(spec.beta, spec.a2, dim)
-    return build_2d_synthetic(spec.beta, spec.a, dim)
+    if problem == "linear":
+        return build_linear_synthetic(beta, a, dim)
+    if problem == "quartic":
+        return build_quartic_synthetic(beta, a, dim)
+    if problem == "osc2d":
+        return build_2d_synthetic(beta, a, dim)
+    raise ValueError(f"unknown problem {problem!r}")
 
 
-def verify_fg_structure(spec: SyntheticSpec, dim: int) -> FgReport:
+def verify_fg_structure(problem: str, beta: float, a: float, dim: int) -> FgReport:
     """Check the H + F - G decomposition of one synthetic matrix.
 
-    F must be anti-symmetric, G symmetric with strictly positive diagonal,
-    and H + F - G must reproduce the directly-built synthetic matrix on the
-    central block (indices below dim - 4, clear of truncation edges).
+    Takes the arguments of build_synthetic.  F must be anti-symmetric, G
+    symmetric with strictly positive diagonal, and H + F - G must reproduce
+    the directly-built synthetic matrix on the central block (indices below
+    dim - 4, clear of truncation edges).
     Raises StructureViolationError naming the worst entry on failure.
     """
-    h, f, g = _transform_f_g(spec, dim)
-    direct = build_synthetic(spec, dim)
+    direct = build_synthetic(problem, beta, a, dim)
+    h, f, g = _transform_f_g(problem, beta, a, dim)
 
     f_defect = float(np.max(np.abs(f + f.T))) if f.size else 0.0
     g_defect = float(np.max(np.abs(g - g.T))) if g.size else 0.0

@@ -54,11 +54,11 @@ coupling block over all its states, and a column leaves the sweep at the end
 of the batch (below) in which it stops.  Both see the same block submatrix,
 so they give the same result per state.  A column stops when
 
-1. converged: E and every coefficient pass the relative tests of IterConfig
-   at rspt.RELATIVE_TOL (CONVERGED).  A coefficient step that misses its
-   relative test by less than 4 ulps of 1, the state's own coefficient, is
-   rounding noise and passes: tiny coefficients jitter at that level in
-   relative terms forever;
+1. converged: |E - E_prev| <= rspt.RELATIVE_TOL * |E + E_prev| / 2, and
+   the same test passes for every coefficient (CONVERGED).  A coefficient
+   step that misses its test by less than 4 ulps of 1, the state's own
+   coefficient, is rounding noise and passes: tiny coefficients jitter at
+   that level in relative terms forever;
 2. cycle: it failed the tests and its new column equals exactly the column
    from two sweeps back.  The update depends only on the committed column and
    both tests are symmetric, so it would alternate unconverged until the cap
@@ -101,11 +101,9 @@ limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .linalg import PerturbationSolution, SolveStatus, as_square_matrix, is_count
+from .linalg import PerturbationSolution, SolveStatus, as_square_matrix, check_cap, is_count
 from .rspt import DIVERGENCE_GUARD, RELATIVE_TOL
 
 # A coefficient step below a few ulps of the state's own unit coefficient
@@ -121,46 +119,30 @@ _BATCH_ENTRIES = 1 << 16
 _ZERO = np.zeros(())
 
 
-@dataclass(frozen=True)
-class IterConfig:
-    """Stopping controls for the iterative solver.
+def iterate_solve(h, state: int, max_iterations: int = 10000) -> PerturbationSolution:
+    """Solve one eigenpair of h by the quadratic coefficient iteration.
 
-    The relative tests compare successive iterates against their half-sum:
-    |E - E_prev| <= RELATIVE_TOL * |E + E_prev| / 2 and the analogous test
-    per coefficient.  max_iterations caps the sweeps.
+    max_iterations caps the sweeps.
     """
-
-    max_iterations: int = 10000
-
-    def __post_init__(self) -> None:
-        if not is_count(self.max_iterations):
-            raise ValueError("max_iterations must be an integer")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-
-
-def iterate_solve(
-    h, state: int, config: IterConfig | None = None
-) -> PerturbationSolution:
-    """Solve one eigenpair of h by the quadratic coefficient iteration."""
+    check_cap("max_iterations", max_iterations)
     a = as_square_matrix(h)
     n = a.shape[0]
-    if not 0 <= state < n:
+    if not (is_count(state) and 0 <= state < n):
         raise IndexError(f"state {state} outside 0..{n - 1}")
     block = _component(a != 0.0, state)
-    return _sweep(a, block, np.flatnonzero(block == state), config or IterConfig())[0]
+    return _sweep(a, block, np.flatnonzero(block == state), max_iterations)[0]
 
 
-def iterate_solve_all(h, config: IterConfig | None = None) -> list[PerturbationSolution]:
+def iterate_solve_all(h, max_iterations: int = 10000) -> list[PerturbationSolution]:
     """Solve every state of h, one sweep per coupling block.
 
     Failures stay per-state.
     """
+    check_cap("max_iterations", max_iterations)
     a = as_square_matrix(h)
-    cfg = config or IterConfig()
     results: list[PerturbationSolution | None] = [None] * a.shape[0]
     for block in _coupling_blocks(a):
-        for sol in _sweep(a, block, np.arange(block.size), cfg):
+        for sol in _sweep(a, block, np.arange(block.size), max_iterations):
             results[sol.state] = sol
     return results
 
@@ -306,7 +288,7 @@ class _Stack:
 
 
 def _sweep(
-    h: np.ndarray, block: np.ndarray, states: np.ndarray, cfg: IterConfig
+    h: np.ndarray, block: np.ndarray, states: np.ndarray, cap: int
 ) -> list[PerturbationSolution]:
     """Iterate the target states' columns on one coupling block until each stops.
 
@@ -351,10 +333,10 @@ def _sweep(
         # x + -0.0 is x for every x: the first energy is H[k, k] to the bit.
         shape = (states.size, a.shape[0])
         carry = np.full(shape, np.nan), np.zeros(shape), np.full((states.size, 1), -0.0)
-        st = _Stack(a, states, np.arange(states.size), carry, cfg.max_iterations)
+        st = _Stack(a, states, np.arange(states.size), carry, cap)
         it = 0
         while True:
-            steps = min(len(st.sweeps), cfg.max_iterations - it)
+            steps = min(len(st.sweeps), cap - it)
             st.run(a, steps)
 
             # The stop rules on every sweep of the batch, one row per sweep.
@@ -370,7 +352,7 @@ def _sweep(
             cycling = (news == cols[:-2]).all(axis=2)
             blown = ~(np.abs(news).max(axis=2) <= DIVERGENCE_GUARD)  # nan-safe
             stop = converged | cycling | blown
-            if it + steps == cfg.max_iterations:
+            if it + steps == cap:
                 stop[-1] = True
 
             # Each column stops at its first stopping sweep; later sweeps are dropped.
@@ -402,4 +384,4 @@ def _sweep(
             ks, slots = st.ks[keep], st.slots[keep]
             carry = cols[-2][keep], cols[-1][keep], hcs[-1][keep]
             del st, cols, news, olds
-            st = _Stack(a, ks, slots, carry, cfg.max_iterations - it)
+            st = _Stack(a, ks, slots, carry, cap - it)

@@ -93,6 +93,17 @@ def is_count(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def check_cap(name: str, value) -> None:
+    """Raise ValueError unless the solver cap value is an integer of at least 1.
+
+    A float or a bool would only fail, or count as 1, inside a solver loop.
+    """
+    if not is_count(value):
+        raise ValueError(f"{name} must be an integer")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
+
+
 def symmetry_defect(h) -> float:
     """Largest absolute difference |h[i,j] - h[j,i]| over all entries."""
     a = as_square_matrix(h)

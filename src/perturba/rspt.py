@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PerturbationSolution, SolveStatus, as_square_matrix, is_count
+from .linalg import PerturbationSolution, SolveStatus, as_square_matrix, check_cap, is_count
 
 DIVERGENCE_GUARD = 1.0e12
 # Relative convergence tolerance of both solvers' energy and coefficient tests.
@@ -55,25 +55,6 @@ _FIRST_ROWS = 64
 # history (states * (max_order + 1) * dim), so memory stays bounded when
 # many states of a large matrix run to the cap.
 _STACK_ENTRIES = 1 << 21
-
-
-@dataclass(frozen=True)
-class RsptConfig:
-    """Stopping controls for the order-by-order expansion.
-
-    Order a is accepted once |E(a)| <= RELATIVE_TOL * |E| and
-    |c(a)[l]| <= RELATIVE_TOL * |c[l]| for all l.  max_order caps the
-    expansion; a single correction past DIVERGENCE_GUARD in magnitude aborts
-    the state.
-    """
-
-    max_order: int = 1000
-
-    def __post_init__(self) -> None:
-        if not is_count(self.max_order):
-            raise ValueError("max_order must be an integer")
-        if self.max_order < 1:
-            raise ValueError("max_order must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -91,32 +72,34 @@ class OrderHistory:
 
 
 def rspt_solve(
-    h, state: int, config: RsptConfig | None = None, keep_history: bool = False
+    h, state: int, max_order: int = 1000, keep_history: bool = False
 ) -> PerturbationSolution:
     """Expand one eigenvalue/eigenvector of h around its diagonal entry.
 
     Returns a PerturbationSolution whose energy is the diagonal entry plus
-    all accumulated corrections.  Failure to converge within max_order gives
-    MAX_ITERATIONS_EXCEEDED; a correction past the guard, or a vanishing
-    energy gap with nonzero coupling, gives ALGORITHM_FAILURE with a reason
-    in detail.
+    all accumulated corrections.  Failure to converge within max_order
+    orders gives MAX_ITERATIONS_EXCEEDED; a correction past the guard, or a
+    vanishing energy gap with nonzero coupling, gives ALGORITHM_FAILURE with
+    a reason in detail.  keep_history attaches the per-order corrections as
+    an OrderHistory.
     """
+    check_cap("max_order", max_order)
     a = as_square_matrix(h)
     n = a.shape[0]
-    if not 0 <= state < n:
+    if not (is_count(state) and 0 <= state < n):
         raise IndexError(f"state {state} outside 0..{n - 1}")
-    return _expand(a, np.array([state]), config or RsptConfig(), keep_history)[0]
+    return _expand(a, np.array([state]), max_order, keep_history)[0]
 
 
-def rspt_solve_all(h, config: RsptConfig | None = None) -> list[PerturbationSolution]:
+def rspt_solve_all(h, max_order: int = 1000) -> list[PerturbationSolution]:
     """Expand every state of h; failures stay per-state."""
+    check_cap("max_order", max_order)
     a = as_square_matrix(h)
-    cfg = config or RsptConfig()
     n = a.shape[0]
-    per_stack = max(1, _STACK_ENTRIES // max(1, n * (cfg.max_order + 1)))
+    per_stack = max(1, _STACK_ENTRIES // max(1, n * (max_order + 1)))
     results = []
     for start in range(0, n, per_stack):
-        results += _expand(a, np.arange(start, min(start + per_stack, n)), cfg, False)
+        results += _expand(a, np.arange(start, min(start + per_stack, n)), max_order, False)
     return results
 
 
@@ -139,11 +122,10 @@ class _Columns:
 
 
 def _expand(
-    a: np.ndarray, ks: np.ndarray, cfg: RsptConfig, keep_history: bool
+    a: np.ndarray, ks: np.ndarray, last: int, keep_history: bool
 ) -> list[PerturbationSolution]:
-    """Expand the states ks of a together, order by order, until each stops."""
+    """Expand the states ks of a together, order by order, up to order last."""
     n = a.shape[0]
-    last = cfg.max_order
     diag = np.diag(a)
     w = a - np.diag(diag)
     t = _Columns(diag, w, ks)

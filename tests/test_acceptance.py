@@ -29,13 +29,13 @@ from helpers import abs_power_oracle, random_dominant
 
 from perturba.experiments import (
     QUARTIC_BENCHMARK,
+    ProblemInstance,
     backtransform_wavefunction,
     exact_2d_energy,
     exact_linear_energy,
 )
 from perturba.hamiltonians import (
     BasisMap2D,
-    SyntheticSpec,
     build_2d_synthetic,
     build_linear_synthetic,
     build_linear_true,
@@ -44,7 +44,7 @@ from perturba.hamiltonians import (
     default_quartic_a2,
     verify_fg_structure,
 )
-from perturba.iterative import IterConfig, iterate_solve
+from perturba.iterative import iterate_solve
 from perturba.oscillator import (
     QUAD_BAND_LIMIT,
     QUAD_ROW_LIMIT,
@@ -53,7 +53,7 @@ from perturba.oscillator import (
     lambda_xi3_element,
     lambda_xi_element,
 )
-from perturba.rspt import RsptConfig, rspt_solve
+from perturba.rspt import rspt_solve
 
 
 def _report(num: int, name: str, checks: list[tuple[str, bool, str]]) -> None:
@@ -68,7 +68,7 @@ def _report(num: int, name: str, checks: list[tuple[str, bool, str]]) -> None:
 
 def test_criterion_01_quartic_benchmark_grid():
     """Every tabulated quartic level reproduced within 1e-4 relative."""
-    cfg = IterConfig(max_iterations=50_000)  # one cell needs ~15k sweeps
+    cap = 50_000  # one cell needs ~15k sweeps
     checks = []
     worst = 0.0
     for beta, row in QUARTIC_BENCHMARK.items():
@@ -81,7 +81,7 @@ def test_criterion_01_quartic_benchmark_grid():
         for n, ref in enumerate(row):
             if ref is None:
                 continue
-            sol = iterate_solve(h, n, cfg)
+            sol = iterate_solve(h, n, max_iterations=cap)
             rel = abs(sol.energy - ref) / abs(ref)
             worst = max(worst, rel)
             if not (sol.converged and rel <= 1e-4):
@@ -113,12 +113,11 @@ def test_criterion_02_linear_triangularization():
 def test_criterion_03_second_order_exactness():
     """Order-2 expansion on the true linear matrix is exact below the edge."""
     checks = []
-    cfg = RsptConfig(max_order=2)
     dim = 30
     for beta in (0.25, 0.5):
         worst = 0.0
         for n in range(dim - 1):
-            sol = rspt_solve(build_linear_true(beta, dim), n, cfg)
+            sol = rspt_solve(build_linear_true(beta, dim), n, max_order=2)
             worst = max(worst, abs(sol.energy - exact_linear_energy(n, beta)))
         checks.append((f"beta={beta}", worst <= 1e-12, f"worst={worst:.2e}"))
     _report(3, "second-order exactness (dim 30)", checks)
@@ -137,8 +136,7 @@ def test_criterion_04_convergence_frontier_ordering():
         return best
 
     f_rspt = frontier(lambda n: rspt_solve(h, n))
-    cfg = IterConfig(max_iterations=500_000)
-    f_iter = frontier(lambda n: iterate_solve(h, n, cfg))
+    f_iter = frontier(lambda n: iterate_solve(h, n, max_iterations=500_000))
 
     checks = [
         (
@@ -304,20 +302,20 @@ def test_criterion_08_element_suite():
 def test_criterion_09_transform_structure():
     """Every synthetic family decomposes as base + skew - positive parts."""
     settings = [
-        SyntheticSpec(problem="linear", beta=0.5, a=0.5),
-        SyntheticSpec(problem="linear", beta=2.0, a=2.0),
-        SyntheticSpec(problem="quartic", beta=0.2, a2=-0.35),
-        SyntheticSpec(problem="quartic", beta=1.0, a2=-0.375),
-        SyntheticSpec(problem="osc2d", beta=0.4, a=0.2),
-        SyntheticSpec(problem="osc2d", beta=0.8, a=0.4),
+        ("linear", 0.5, 0.5),
+        ("linear", 2.0, 2.0),
+        ("quartic", 0.2, -0.35),
+        ("quartic", 1.0, -0.375),
+        ("osc2d", 0.4, 0.2),
+        ("osc2d", 0.8, 0.4),
     ]
     checks = []
-    for spec in settings:
-        dim = 10 if spec.problem == "osc2d" else 30
+    for problem, beta, a in settings:
+        dim = 10 if problem == "osc2d" else 30
         try:
-            report = verify_fg_structure(spec, dim)
+            report = verify_fg_structure(problem, beta, a, dim)
         except Exception as exc:  # any structural violation fails the criterion
-            checks.append((f"{spec.problem} beta={spec.beta}", False, str(exc)))
+            checks.append((f"{problem} beta={beta}", False, str(exc)))
             continue
         ok = (
             report.f_antisymmetry_defect <= 1e-12
@@ -327,7 +325,7 @@ def test_criterion_09_transform_structure():
         )
         checks.append(
             (
-                f"{spec.problem} beta={spec.beta}",
+                f"{problem} beta={beta}",
                 ok,
                 f"recon={report.reconstruction_defect:.1e}",
             )
@@ -338,7 +336,7 @@ def test_criterion_09_transform_structure():
 def test_criterion_10_backtransform_orthogonality():
     """Recovered coordinate wavefunctions are the shifted exact states."""
     beta = 0.5
-    t = SyntheticSpec(problem="linear", beta=beta, a=beta)
+    inst = ProblemInstance(problem="linear", beta=beta, dim=30, method="iter", transform=beta)
     h = build_linear_synthetic(beta, beta, 30)
     grid = np.linspace(-12.0, 12.0, 2048)
     waves = []
@@ -346,7 +344,7 @@ def test_criterion_10_backtransform_orthogonality():
     for n in range(6):
         sol = iterate_solve(h, n)
         checks.append((f"state {n} converges", sol.converged, sol.status.value))
-        waves.append(backtransform_wavefunction(t, sol, grid))
+        waves.append(backtransform_wavefunction(inst, sol, grid))
 
     exact0 = math.pi ** -0.25 * np.exp(-0.5 * (grid + beta) ** 2)
     err = min(

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, formats, caching."""
 
 import csv
+import hashlib
 import io
 import math
 import subprocess
@@ -10,8 +11,8 @@ import numpy as np
 import pytest
 
 from perturba.cli import build_parser, main
-from perturba.hamiltonians import BasisMap2D, build_linear_synthetic
-from perturba.linalg import read_matrix_text
+from perturba.hamiltonians import BasisMap2D, build_linear_synthetic, build_quartic_synthetic
+from perturba.linalg import read_matrix_text, write_matrix_text
 
 
 def run_cli(argv, capsys):
@@ -209,6 +210,33 @@ class TestMatrixCommand:
         code, out, _ = run_cli(["matrix", "--problem", "osc2d", "--beta", "1.5"], capsys)
         assert code == 0
         assert read_matrix_text(io.StringIO(out)).shape == (66, 66)
+
+    @pytest.mark.parametrize(
+        "problem,flag,owner",
+        [
+            ("linear", ["--a2", "-0.3"], "quartic"),
+            ("quartic", ["--synthetic", "on"], "osc2d"),
+            ("osc2d", ["--synthetic-a", "0.5"], "linear"),
+        ],
+    )
+    def test_other_problems_transform_flag_rejected(self, problem, flag, owner, capsys):
+        code, out, err = run_cli(
+            ["matrix", "--problem", problem, "--beta", "0.5", "--dim", "3", "--nmax", "1", *flag],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {flag[0]} is the {owner} transform flag; --problem is {problem}\n"
+
+    def test_quartic_auto_bytes(self, capsys):
+        code, out, _ = run_cli(
+            ["matrix", "--problem", "quartic", "--beta", "1.0", "--dim", "12", "--a2", "auto"],
+            capsys,
+        )
+        assert code == 0
+        expected = io.StringIO()
+        write_matrix_text(build_quartic_synthetic(1.0, -0.375, 12), expected)
+        assert out == expected.getvalue()
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == "b4a04f28fc6d8804"
 
     def test_matrix_determinism(self, capsys):
         args = ["matrix", "--problem", "quartic", "--beta", "1.0", "--dim", "12",

@@ -25,7 +25,11 @@ from perturba.experiments import (
     transform_label,
     write_results_csv,
 )
-from perturba.hamiltonians import SyntheticSpec, build_linear_true, build_quartic_true
+from perturba.hamiltonians import (
+    build_linear_true,
+    build_quartic_synthetic,
+    build_quartic_true,
+)
 from perturba.linalg import SolveStatus
 from perturba.oscillator import wavefunction_rows
 
@@ -133,29 +137,36 @@ class TestProblemInstance:
         inst = ProblemInstance(problem="linear", beta=0.5, dim=np.int64(4), method="iter")
         assert build_instance_matrix(inst).shape == (4, 4)
 
-    def test_transform_problem_mismatch(self):
-        t = SyntheticSpec(problem="quartic", beta=0.5, a2=-0.35)
-        with pytest.raises(ValueError):
-            ProblemInstance(problem="linear", beta=0.5, dim=10, method="iter", transform=t)
+    @pytest.mark.parametrize("transform", [math.inf, math.nan, -math.inf])
+    def test_non_finite_transform(self, transform):
+        with pytest.raises(ValueError, match="transform .* is not finite"):
+            ProblemInstance(problem="linear", beta=0.5, dim=10, method="iter", transform=transform)
 
-    def test_transform_beta_mismatch(self):
-        t = SyntheticSpec(problem="linear", beta=0.25, a=0.25)
-        with pytest.raises(ValueError):
-            ProblemInstance(problem="linear", beta=0.5, dim=10, method="iter", transform=t)
+    @pytest.mark.parametrize("transform", [True, False, "0.5", 1j])
+    def test_non_real_transform(self, transform):
+        with pytest.raises(ValueError, match="transform .* is not a real number"):
+            ProblemInstance(problem="linear", beta=0.5, dim=10, method="iter", transform=transform)
+
+    def test_real_transform_kinds(self):
+        for transform in (0, np.float64(-0.3), np.int64(1)):
+            inst = ProblemInstance(
+                problem="quartic", beta=0.5, dim=6, method="iter", transform=transform
+            )
+            assert np.array_equal(
+                build_instance_matrix(inst), build_quartic_synthetic(0.5, float(transform), 6)
+            )
 
     def test_oracle_rejects_transform(self):
-        t = SyntheticSpec(problem="linear", beta=0.5, a=0.5)
         with pytest.raises(ValueError):
-            ProblemInstance(problem="linear", beta=0.5, dim=10, method="oracle", transform=t)
+            ProblemInstance(problem="linear", beta=0.5, dim=10, method="oracle", transform=0.5)
 
 
 class TestBuildInstanceMatrix:
     def test_true_and_transformed(self):
         plain = ProblemInstance(problem="linear", beta=0.5, dim=8, method="iter")
         assert np.array_equal(build_instance_matrix(plain), build_linear_true(0.5, 8))
-        t = SyntheticSpec(problem="linear", beta=0.5, a=0.5)
         synth = ProblemInstance(
-            problem="linear", beta=0.5, dim=8, method="iter", transform=t
+            problem="linear", beta=0.5, dim=8, method="iter", transform=0.5
         )
         assert np.all(np.tril(build_instance_matrix(synth), k=-1) == 0.0)
 
@@ -194,7 +205,7 @@ class TestRunInstance:
             beta=1.0,
             dim=16,
             method="iter",
-            transform=SyntheticSpec(problem="quartic", beta=1.0, a2=-0.375),
+            transform=-0.375,
         )
         result = run_instance(inst)
         assert not result.all_converged
@@ -284,7 +295,7 @@ class TestCsvOutput:
         )
         inst = ProblemInstance(
             problem="quartic", beta=1.0, dim=4, method="rspt",
-            transform=SyntheticSpec(problem="quartic", beta=1.0, a2=-0.375),
+            transform=-0.375,
         )
         buf = io.StringIO()
         write_results_csv([RunResult(instance=inst, rows=rows)], buf)
@@ -338,12 +349,17 @@ class TestCsvOutput:
 
 class TestTransformLabel:
     def test_labels(self):
-        assert transform_label(None) == "none"
-        assert transform_label(SyntheticSpec(problem="linear", beta=0.5, a=0.5)) == "a=0.5"
-        assert (
-            transform_label(SyntheticSpec(problem="quartic", beta=1.0, a2=-0.375))
-            == "a2=-0.375"
-        )
+        def label(problem, transform):
+            return transform_label(
+                ProblemInstance(
+                    problem=problem, beta=0.5, dim=4, method="iter", transform=transform
+                )
+            )
+
+        assert label("linear", None) == "none"
+        assert label("linear", 0.5) == "a=0.5"
+        assert label("quartic", -0.375) == "a2=-0.375"
+        assert label("osc2d", 0.25) == "a=0.25"
 
 
 class TestBacktransform:
@@ -357,21 +373,20 @@ class TestBacktransform:
         from perturba.iterative import iterate_solve
 
         sol = iterate_solve(build_instance_matrix(inst), 0)
-        wave = backtransform_wavefunction(None, sol, self.GRID)
+        wave = backtransform_wavefunction(inst, sol, self.GRID)
         exact = math.pi ** -0.25 * np.exp(-0.5 * self.GRID**2)
         assert float(np.max(np.abs(np.abs(wave) - exact))) < 1e-6
 
     def test_matched_transform_gives_shifted_gaussian(self):
         beta = 0.5
-        t = SyntheticSpec(problem="linear", beta=beta, a=beta)
         inst = ProblemInstance(
-            problem="linear", beta=beta, dim=30, method="iter", transform=t
+            problem="linear", beta=beta, dim=30, method="iter", transform=beta
         )
         from perturba.iterative import iterate_solve
 
         sol = iterate_solve(build_instance_matrix(inst), 0)
         assert sol.status is SolveStatus.CONVERGED
-        wave = backtransform_wavefunction(t, sol, self.GRID)
+        wave = backtransform_wavefunction(inst, sol, self.GRID)
         exact = math.pi ** -0.25 * np.exp(-0.5 * (self.GRID + beta) ** 2)
         err = min(
             float(np.max(np.abs(wave - exact))),
@@ -381,15 +396,14 @@ class TestBacktransform:
 
     def test_partial_transform_same_physical_state(self):
         beta = 0.5
-        t = SyntheticSpec(problem="linear", beta=beta, a=0.25)
         inst = ProblemInstance(
-            problem="linear", beta=beta, dim=40, method="iter", transform=t
+            problem="linear", beta=beta, dim=40, method="iter", transform=0.25
         )
         from perturba.iterative import iterate_solve
 
         sol = iterate_solve(build_instance_matrix(inst), 0)
         assert sol.status is SolveStatus.CONVERGED
-        wave = backtransform_wavefunction(t, sol, self.GRID)
+        wave = backtransform_wavefunction(inst, sol, self.GRID)
         exact = math.pi ** -0.25 * np.exp(-0.5 * (self.GRID + beta) ** 2)
         err = min(
             float(np.max(np.abs(wave - exact))),
@@ -400,22 +414,23 @@ class TestBacktransform:
     def test_unit_norm_on_grid(self):
         from perturba.iterative import iterate_solve
 
-        h = build_linear_true(0.5, 10)
-        sol = iterate_solve(h, 0)
-        wave = backtransform_wavefunction(None, sol, self.GRID)
+        inst = ProblemInstance(problem="linear", beta=0.5, dim=10, method="iter")
+        sol = iterate_solve(build_instance_matrix(inst), 0)
+        wave = backtransform_wavefunction(inst, sol, self.GRID)
         trap = getattr(np, "trapezoid", None) or np.trapz
         assert float(trap(wave * wave, self.GRID)) == pytest.approx(1.0, abs=1e-12)
 
     def test_osc2d_has_no_coordinate_picture(self):
-        t = SyntheticSpec(problem="osc2d", beta=0.4, a=0.2)
-        inst = ProblemInstance(
-            problem="osc2d", beta=0.4, dim=4, method="iter", transform=t
-        )
         from perturba.iterative import iterate_solve
 
-        sol = iterate_solve(build_instance_matrix(inst), 0)
-        with pytest.raises(UnsupportedProblemError):
-            backtransform_wavefunction(t, sol, self.GRID)
+        # transformed or not, a 2-D coefficient column has no 1-D picture
+        for transform in (0.2, None):
+            inst = ProblemInstance(
+                problem="osc2d", beta=0.4, dim=4, method="iter", transform=transform
+            )
+            sol = iterate_solve(build_instance_matrix(inst), 3)
+            with pytest.raises(UnsupportedProblemError):
+                backtransform_wavefunction(inst, sol, self.GRID)
 
     def test_wavefunction_rows_shape(self):
         rows = wavefunction_rows(3, self.GRID)

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from perturba.experiments import ProblemInstance, build_instance_matrix
 from perturba.hamiltonians import (
     BasisMap2D,
     StructureViolationError,
-    SyntheticSpec,
     a2_from_quantum_number,
     build_2d_synthetic,
     build_2d_true,
@@ -18,6 +18,7 @@ from perturba.hamiltonians import (
     build_quartic_true,
     build_synthetic,
     default_quartic_a2,
+    quartic_a3,
     verify_fg_structure,
 )
 from perturba.linalg import symmetry_defect
@@ -110,8 +111,7 @@ class TestQuarticBuilders:
                 assert h[n, m] == pytest.approx(expected, rel=1e-12, abs=1e-15), (n, m)
 
     def test_a3_fixed_by_beta(self):
-        spec = SyntheticSpec(problem="quartic", beta=0.5, a2=-0.35)
-        assert spec.a3 == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert quartic_a3(0.5) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_default_a2_switchover(self):
         assert default_quartic_a2(0.05) == -0.35
@@ -147,38 +147,32 @@ class TestQuarticBuilders:
 
 
 class TestSyntheticSpec:
-    def test_linear_takes_a_only(self):
-        SyntheticSpec(problem="linear", beta=0.5, a=0.5)
-        with pytest.raises(ValueError):
-            SyntheticSpec(problem="linear", beta=0.5, a2=-0.3)
-        with pytest.raises(ValueError):
-            SyntheticSpec(problem="linear", beta=0.5)
-
-    def test_quartic_takes_a2_only(self):
-        SyntheticSpec(problem="quartic", beta=1.0, a2=-0.375)
-        with pytest.raises(ValueError):
-            SyntheticSpec(problem="quartic", beta=1.0, a=0.1)
-        with pytest.raises(ValueError):
-            SyntheticSpec(problem="quartic", beta=1.0, a=0.1, a2=-0.3)
+    """A synthetic Hamiltonian is (problem, beta, coefficient): a, or a2 for quartic."""
 
     def test_unknown_problem(self):
-        with pytest.raises(ValueError):
-            SyntheticSpec(problem="cubic", beta=0.5, a=0.1)
+        with pytest.raises(ValueError, match="unknown problem 'cubic'"):
+            build_synthetic("cubic", 0.5, 0.1, 8)
+        with pytest.raises(ValueError, match="unknown problem 'cubic'"):
+            verify_fg_structure("cubic", 0.5, 0.1, 8)
 
     def test_negative_beta(self):
-        with pytest.raises(ValueError):
-            SyntheticSpec(problem="linear", beta=-0.1, a=0.1)
-
-    def test_a3_only_for_quartic(self):
-        spec = SyntheticSpec(problem="linear", beta=0.5, a=0.5)
-        with pytest.raises(ValueError):
-            _ = spec.a3
+        with pytest.raises(ValueError, match="beta must be non-negative"):
+            ProblemInstance(problem="linear", beta=-0.1, dim=8, method="iter", transform=0.1)
+        # the true matrix takes any finite beta
+        ProblemInstance(problem="linear", beta=-0.1, dim=8, method="iter")
 
     def test_dispatch(self):
-        spec = SyntheticSpec(problem="linear", beta=0.5, a=0.5)
-        assert np.array_equal(
-            build_synthetic(spec, 8), build_linear_synthetic(0.5, 0.5, 8)
-        )
+        direct = {
+            "linear": (0.5, 0.5, 8, build_linear_synthetic(0.5, 0.5, 8)),
+            "quartic": (1.0, -0.375, 12, build_quartic_synthetic(1.0, -0.375, 12)),
+            "osc2d": (0.4, 0.2, 5, build_2d_synthetic(0.4, 0.2, 5)),
+        }
+        for problem, (beta, a, dim, h) in direct.items():
+            assert np.array_equal(build_synthetic(problem, beta, a, dim), h)
+            inst = ProblemInstance(
+                problem=problem, beta=beta, dim=dim, method="iter", transform=a
+            )
+            assert np.array_equal(build_instance_matrix(inst), h), problem
 
 
 class TestBasis2D:
@@ -254,16 +248,16 @@ class TestStructureVerification:
     @pytest.mark.parametrize(
         "spec,dim",
         [
-            (SyntheticSpec(problem="linear", beta=0.5, a=0.5), 30),
-            (SyntheticSpec(problem="linear", beta=2.0, a=2.0), 30),
-            (SyntheticSpec(problem="quartic", beta=1.0, a2=-0.375), 30),
-            (SyntheticSpec(problem="quartic", beta=0.2, a2=-0.35), 30),
-            (SyntheticSpec(problem="osc2d", beta=0.4, a=0.2), 10),
-            (SyntheticSpec(problem="osc2d", beta=0.8, a=0.4), 10),
+            (("linear", 0.5, 0.5), 30),
+            (("linear", 2.0, 2.0), 30),
+            (("quartic", 1.0, -0.375), 30),
+            (("quartic", 0.2, -0.35), 30),
+            (("osc2d", 0.4, 0.2), 10),
+            (("osc2d", 0.8, 0.4), 10),
         ],
     )
     def test_decomposition_holds(self, spec, dim):
-        report = verify_fg_structure(spec, dim)
+        report = verify_fg_structure(*spec, dim)
         assert report.f_antisymmetry_defect <= 1e-12
         assert report.g_symmetry_defect <= 1e-12
         assert report.min_g_diagonal > 0.0
@@ -271,14 +265,12 @@ class TestStructureVerification:
         assert report.central_dim > 0
 
     def test_zero_transform_has_no_positive_shift(self):
-        spec = SyntheticSpec(problem="linear", beta=0.5, a=0.0)
         with pytest.raises(StructureViolationError, match="diagonal not positive"):
-            verify_fg_structure(spec, 10)
+            verify_fg_structure("linear", 0.5, 0.0, 10)
 
     def test_tampered_build_detected(self, monkeypatch):
         import perturba.hamiltonians as mod
 
-        spec = SyntheticSpec(problem="linear", beta=0.5, a=0.5)
         original = mod.build_linear_synthetic
 
         def tampered(beta, a, dim):
@@ -288,7 +280,7 @@ class TestStructureVerification:
 
         monkeypatch.setattr(mod, "build_linear_synthetic", tampered)
         with pytest.raises(StructureViolationError, match="mismatches"):
-            verify_fg_structure(spec, 10)
+            verify_fg_structure("linear", 0.5, 0.5, 10)
 
 
 class TestDiagonalOrdering:

@@ -22,7 +22,6 @@ from perturba.hamiltonians import (
     default_quartic_a2,
 )
 from perturba.iterative import (
-    IterConfig,
     _coupling_blocks,
     _rotate_tied_groups,
     iterate_solve,
@@ -143,7 +142,7 @@ class TestPerturbativeLimit:
         np.fill_diagonal(off, 0.0)
         h = np.diag(diag) + 1.0e-4 * off
         for k in range(dim):
-            sol = iterate_solve(h, k, IterConfig(max_iterations=1))
+            sol = iterate_solve(h, k, max_iterations=1)
             second = h[k, k] + sum(
                 h[k, l] ** 2 / (h[k, k] - h[l, l]) for l in range(dim) if l != k
             )
@@ -165,7 +164,7 @@ class TestBasicBehaviour:
         h = np.array([[1.0, 1.0, 0.5], [1.0, 1.1, 5.0], [0.5, 5.0, 1.2]])
         reference = np.linalg.eigvalsh(h)
         for k in range(3):
-            sol = iterate_solve(h, k, IterConfig(max_iterations=2000))
+            sol = iterate_solve(h, k, max_iterations=2000)
             assert sol.status in (
                 SolveStatus.CONVERGED,
                 SolveStatus.MAX_ITERATIONS_EXCEEDED,
@@ -210,7 +209,7 @@ class TestBasicBehaviour:
 
     def test_iteration_cap_reported(self):
         h = np.array([[1.0, 1.0, 0.5], [1.0, 1.1, 5.0], [0.5, 5.0, 1.2]])
-        sol = iterate_solve(h, 0, IterConfig(max_iterations=3))
+        sol = iterate_solve(h, 0, max_iterations=3)
         if sol.status is SolveStatus.MAX_ITERATIONS_EXCEEDED:
             assert sol.iterations == 3
 
@@ -221,15 +220,25 @@ class TestBasicBehaviour:
     def test_state_out_of_range(self):
         with pytest.raises(IndexError):
             iterate_solve(np.eye(2), 2)
+        # True would pass for state 1, and 2.0 would index as 2
+        h = build_quartic_true(0.5, 8)
+        for bad in (True, 2.0):
+            with pytest.raises(IndexError, match=f"state {bad} outside 0..7"):
+                iterate_solve(h, bad)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            IterConfig(max_iterations=0)
-        # a float or a bool would only fail, or count as 1, inside the loop
-        for bad in (2.5, 2.0, True, np.float64(3.0), "3"):
-            with pytest.raises(ValueError, match="max_iterations must be an integer"):
-                IterConfig(max_iterations=bad)
-        sol = iterate_solve(build_linear_true(0.5, 30), 20, IterConfig(max_iterations=np.int64(3)))
+        h = np.eye(2)
+        for solve in (
+            lambda cap: iterate_solve(h, 0, max_iterations=cap),
+            lambda cap: iterate_solve_all(h, max_iterations=cap),
+        ):
+            with pytest.raises(ValueError, match="max_iterations must be at least 1"):
+                solve(0)
+            # a float or a bool would only fail, or count as 1, inside the loop
+            for bad in (2.5, 2.0, True, np.float64(3.0), "3"):
+                with pytest.raises(ValueError, match="max_iterations must be an integer"):
+                    solve(bad)
+        sol = iterate_solve(build_linear_true(0.5, 30), 20, max_iterations=np.int64(3))
         assert (sol.status, sol.iterations) == (SolveStatus.MAX_ITERATIONS_EXCEEDED, 3)
         assert type(sol.iterations) is int
 
@@ -331,12 +340,11 @@ class TestSolveAll:
         # the sweeps reuse their buffers from batch to batch; a returned
         # solution must own its numbers.  At cap 200 these states stop by
         # every rule: converged, cycle, guard and cap
-        cfg = IterConfig(max_iterations=200)
-        first = iterate_solve_all(build_linear_true(0.5, 30), cfg)
-        first += iterate_solve_all(build_quartic_synthetic(0.3, default_quartic_a2(0.3), 30), cfg)
+        first = iterate_solve_all(build_linear_true(0.5, 30), 200)
+        first += iterate_solve_all(build_quartic_synthetic(0.3, default_quartic_a2(0.3), 30), 200)
         kept = [(s.coefficients.tobytes(), s.energy, s.iterations) for s in first]
-        iterate_solve_all(build_quartic_synthetic(1.0, default_quartic_a2(1.0), 60), cfg)
-        iterate_solve(build_linear_true(0.3, 30), 5, cfg)
+        iterate_solve_all(build_quartic_synthetic(1.0, default_quartic_a2(1.0), 60), 200)
+        iterate_solve(build_linear_true(0.3, 30), 5, 200)
         details = {(s.detail or "")[:14] for s in first}
         assert details == {"", "coefficient ma", "period-2 cycle"}
         assert {s.status for s in first} == set(SolveStatus)
@@ -354,12 +362,11 @@ class TestSolveAll:
         h = rng.normal(size=(dim, dim)) * rng.choice([0.3, 1.0, 3.0])
         h += np.diag(np.sort(rng.normal(size=dim) * 2))
         h = (h + h.T) / 2
-        cfg = IterConfig(max_iterations=100)
-        sols = iterate_solve_all(h, cfg)
+        sols = iterate_solve_all(h, max_iterations=100)
         assert sols[0].converged and sols[0].iterations == 28
         assert sols[1].detail == "period-2 cycle at sweep 33"
         for sol in sols[:2]:
-            alone = iterate_solve(h, sol.state, cfg)
+            alone = iterate_solve(h, sol.state, max_iterations=100)
             assert (alone.iterations, alone.status, alone.energy) == (
                 sol.iterations, sol.status, sol.energy
             )
@@ -387,10 +394,9 @@ class TestSolveAll:
             h = build_quartic_synthetic(1.0, default_quartic_a2(1.0), 100)
         else:
             h = build_2d_synthetic(0.4, 0.2, 15)
-        cfg = IterConfig(max_iterations=cap)
-        block = iterate_solve_all(h, cfg)
+        block = iterate_solve_all(h, max_iterations=cap)
         for k, b in enumerate(block):
-            s = iterate_solve(h, k, cfg)
+            s = iterate_solve(h, k, max_iterations=cap)
             assert b.state == k
             assert (b.status, b.iterations, b.detail) == (s.status, s.iterations, s.detail)
             assert b.energy == s.energy
@@ -422,11 +428,10 @@ class TestAgainstReference:
         # the cap must land exactly on and beside batch edges; the guard
         # first stops a state by sweep 33, and at 1000 ten states converge
         h = build_linear_true(0.5, 30)
-        cfg = IterConfig(max_iterations=cap)
-        block = iterate_solve_all(h, cfg)
+        block = iterate_solve_all(h, max_iterations=cap)
         for k in range(30):
             ref = reference_iterate(h, k, cap)
-            self.assert_same(iterate_solve(h, k, cfg), ref)
+            self.assert_same(iterate_solve(h, k, max_iterations=cap), ref)
             self.assert_same(block[k], ref)
 
     # the quartic-grid states that do not converge: the cycles and the cap

@@ -11,7 +11,7 @@ from helpers import reference_rspt
 from perturba import rspt
 from perturba.hamiltonians import build_linear_true, build_quartic_true
 from perturba.linalg import SolveStatus
-from perturba.rspt import DIVERGENCE_GUARD, RsptConfig, rspt_solve, rspt_solve_all
+from perturba.rspt import DIVERGENCE_GUARD, rspt_solve, rspt_solve_all
 
 
 def second_order_closed_form(h: np.ndarray, k: int) -> float:
@@ -43,7 +43,7 @@ class TestLowOrders:
 
     def test_order_two_truncation_value(self):
         h = np.array([[1.0, 0.1], [0.1, 2.0]])
-        sol = rspt_solve(h, 0, RsptConfig(max_order=2))
+        sol = rspt_solve(h, 0, max_order=2)
         assert sol.energy == pytest.approx(0.99, abs=1e-15)
         assert sol.status is SolveStatus.MAX_ITERATIONS_EXCEEDED
         assert sol.iterations == 2
@@ -54,7 +54,7 @@ class TestLowOrders:
         dim = int(rng.integers(2, 9))
         h = random_dominant(rng, dim)
         for k in range(dim):
-            sol = rspt_solve(h, k, RsptConfig(max_order=2))
+            sol = rspt_solve(h, k, max_order=2)
             assert sol.energy == pytest.approx(
                 second_order_closed_form(h, k), rel=1e-13
             )
@@ -68,7 +68,7 @@ class TestLowOrders:
 
     def test_history_shapes(self):
         h = np.array([[1.0, 0.1], [0.1, 2.0]])
-        sol = rspt_solve(h, 0, RsptConfig(max_order=5), keep_history=True)
+        sol = rspt_solve(h, 0, max_order=5, keep_history=True)
         hist = sol.history
         assert hist.energy_corrections.shape == (sol.iterations,)
         assert hist.coefficient_corrections.shape == (sol.iterations, 2)
@@ -87,7 +87,7 @@ class TestLinearProblemOrderTwo:
         dim = 12
         h = build_linear_true(beta, dim)
         for n in range(dim - 1):
-            sol = rspt_solve(h, n, RsptConfig(max_order=2))
+            sol = rspt_solve(h, n, max_order=2)
             exact = (n + 0.5) - 0.5 * beta * beta
             assert sol.energy == pytest.approx(exact, abs=1e-12), n
 
@@ -95,7 +95,7 @@ class TestLinearProblemOrderTwo:
         beta = 0.5
         dim = 12
         h = build_linear_true(beta, dim)
-        sol = rspt_solve(h, dim - 1, RsptConfig(max_order=2))
+        sol = rspt_solve(h, dim - 1, max_order=2)
         exact = (dim - 1 + 0.5) - 0.5 * beta * beta
         assert abs(sol.energy - exact) > 1e-6
 
@@ -123,22 +123,32 @@ class TestFailureModes:
 
     def test_max_order_cap(self):
         h = np.array([[1.0, 0.4], [0.4, 2.0]])
-        sol = rspt_solve(h, 0, RsptConfig(max_order=3))
+        sol = rspt_solve(h, 0, max_order=3)
         assert sol.status is SolveStatus.MAX_ITERATIONS_EXCEEDED
         assert sol.iterations == 3
 
     def test_state_out_of_range(self):
         with pytest.raises(IndexError):
             rspt_solve(np.eye(3), 3)
+        # True would pass for state 1, and 2.0 would index as 2
+        h = build_linear_true(0.5, 8)
+        for bad in (True, 2.0):
+            with pytest.raises(IndexError, match=f"state {bad} outside 0..7"):
+                rspt_solve(h, bad)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            RsptConfig(max_order=0)
-        # a float or a bool would only fail, or count as 1, inside the loop
-        for bad in (2.5, 2.0, True, np.float64(3.0), "3"):
-            with pytest.raises(ValueError, match="max_order must be an integer"):
-                RsptConfig(max_order=bad)
-        sol = rspt_solve(build_linear_true(0.5, 30), 20, RsptConfig(max_order=np.int64(3)))
+        h = np.eye(2)
+        for solve in (
+            lambda cap: rspt_solve(h, 0, max_order=cap),
+            lambda cap: rspt_solve_all(h, max_order=cap),
+        ):
+            with pytest.raises(ValueError, match="max_order must be at least 1"):
+                solve(0)
+            # a float or a bool would only fail, or count as 1, inside the loop
+            for bad in (2.5, 2.0, True, np.float64(3.0), "3"):
+                with pytest.raises(ValueError, match="max_order must be an integer"):
+                    solve(bad)
+        sol = rspt_solve(build_linear_true(0.5, 30), 20, max_order=np.int64(3))
         assert (sol.status, sol.iterations) == (SolveStatus.MAX_ITERATIONS_EXCEEDED, 3)
         assert type(sol.iterations) is int
 
@@ -209,7 +219,7 @@ class TestAgainstReference:
         # state 10 converges at order 444 and state 11 runs to the 1000 cap;
         # states 12-29 end at the guard, state 12 at order 721
         h = build_linear_true(0.5, 30)
-        sols = rspt_solve_all(h, RsptConfig(max_order=cap))
+        sols = rspt_solve_all(h, max_order=cap)
         for k, sol in enumerate(sols):
             self.assert_matches(sol, reference_rspt(h, k, cap))
         assert all(s.history is None for s in sols)
