@@ -1,8 +1,9 @@
 """Perturbation-theory eigensolvers for truncated oscillator Hamiltonians.
 
-Two single-state solvers (an order-by-order expansion and a quadratically
-converging coefficient iteration) plus the benchmark matrices, oscillator
-matrix elements and run harness used to exercise them.
+Two single-state solvers (an order-by-order expansion and a coefficient
+iteration that solves each coefficient's local quadratic exactly and
+converges linearly where it converges) plus the benchmark matrices,
+oscillator matrix elements and run harness used to exercise them.
 """
 
 from .linalg import (

@@ -155,7 +155,7 @@ class ProblemInstance:
         _check_finite("beta", self.beta)
         if self.transform is not None:
             _check_finite("transform", self.transform)
-            if self.beta < 0.0:
+            if self.problem == "quartic" and self.beta < 0.0:  # a3 = sqrt(2 beta) / 3
                 raise ValueError("beta must be non-negative")
         if self.method == "oracle" and self.transform is not None:
             raise ValueError("the oracle diagonalizes the true matrix only")

@@ -59,6 +59,18 @@ class TestLinearCommand:
             assert float(rec["energy"]) == pytest.approx(n + 0.375, abs=1e-10)
             assert float(rec["transform"].removeprefix("a=")) == 0.5
 
+    def test_negative_beta_matched_transform_is_exact(self, capsys):
+        # at a = beta the lower triangle is empty: state k converges to the
+        # diagonal entry k + 1/2 - beta^2 / 2 in k + 1 sweeps
+        code, out, _ = run_cli(
+            ["linear", "--beta", "-0.5", "--dim", "5", "--synthetic-a", "-0.5"], capsys
+        )
+        assert code == 0
+        records = parse_csv(out)
+        assert [rec["energy"] for rec in records] == ["0.375", "1.375", "2.375", "3.375", "4.375"]
+        assert [rec["iterations"] for rec in records] == ["1", "2", "3", "4", "5"]
+        assert {rec["status"] for rec in records} == {"converged"}
+
     def test_multiple_betas(self, capsys):
         code, out, _ = run_cli(["linear", "--beta", "0,0.25", "--dim", "10"], capsys)
         assert code == 0
@@ -292,6 +304,21 @@ class TestErrorPaths:
         )
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # the transformed quartic's a3 = sqrt(2 beta) / 3
+            (["quartic", "--beta", "-0.5", "--dim", "10", "--a2", "-0.35"],
+             "error: beta must be non-negative\n"),
+            # the exact column of the 2-D oscillator
+            (["osc2d", "--beta", "-0.5", "--nmax", "3"], "error: beta -0.5 outside [0, 1]\n"),
+        ],
+        ids=["quartic", "osc2d"],
+    )
+    def test_negative_beta_rejected(self, argv, message, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (1, "", message)
 
     @pytest.mark.parametrize(
         "argv",

@@ -156,10 +156,13 @@ class TestSyntheticSpec:
             verify_fg_structure("cubic", 0.5, 0.1, 8)
 
     def test_negative_beta(self):
+        # only quartic's a3 = sqrt(2 beta) / 3 needs beta >= 0
         with pytest.raises(ValueError, match="beta must be non-negative"):
-            ProblemInstance(problem="linear", beta=-0.1, dim=8, method="iter", transform=0.1)
+            ProblemInstance(problem="quartic", beta=-0.1, dim=8, method="iter", transform=0.1)
+        ProblemInstance(problem="linear", beta=-0.1, dim=8, method="iter", transform=0.1)
+        ProblemInstance(problem="osc2d", beta=-0.1, dim=8, method="iter", transform=0.1)
         # the true matrix takes any finite beta
-        ProblemInstance(problem="linear", beta=-0.1, dim=8, method="iter")
+        ProblemInstance(problem="quartic", beta=-0.1, dim=8, method="iter")
 
     def test_dispatch(self):
         direct = {

@@ -410,9 +410,10 @@ class TestSolveAll:
 class TestAgainstReference:
     """Bitwise agreement with the one-sweep-at-a-time reference of tests/helpers.
 
-    The solver tests its stop rules once per batch of up to 16 sweeps and
-    drops the sweeps after a column's first stop; the reference tests them
-    after every sweep.
+    The solver tests its stop rules once per batch of up to 16 sweeps, or
+    of up to _LONG_BATCH once a stack has run _LONG_AFTER sweeps without a
+    stop, and drops the sweeps after a column's first stop; the reference
+    tests them after every sweep.
     """
 
     @staticmethod
@@ -423,10 +424,19 @@ class TestAgainstReference:
         assert np.float64(sol.energy).tobytes() == np.float64(energy).tobytes()
         assert sol.coefficients.tobytes() == coefficients.tobytes()
 
-    @pytest.mark.parametrize("cap", [1, 2, 15, 16, 17, 33, 1000])
+    SWITCH = iterative._LONG_AFTER
+    LONG = SWITCH + iterative._LONG_BATCH
+
+    @pytest.mark.parametrize(
+        "cap",
+        [1, 2, 15, 16, 17, 33, SWITCH - 1, SWITCH, SWITCH + 1, LONG - 1, LONG, LONG + 1, 1000],
+    )
     def test_linear_caps_around_the_batch(self, cap):
-        # the cap must land exactly on and beside batch edges; the guard
-        # first stops a state by sweep 33, and at 1000 ten states converge
+        # the cap must land exactly on and beside batch edges: the first
+        # short ones, the switch to long batches of the single-state solves
+        # after _LONG_AFTER sweeps, and the first long batch's end; the
+        # guard first stops a state by sweep 33, and at 1000 ten states
+        # converge
         h = build_linear_true(0.5, 30)
         block = iterate_solve_all(h, max_iterations=cap)
         for k in range(30):
@@ -447,6 +457,23 @@ class TestAgainstReference:
         ref = reference_iterate(h, 12, 10000)
         assert ref[:3] == ("algorithm_failure", 145, "period-2 cycle at sweep 145")
         self.assert_same(iterate_solve(h, 12), ref)
+
+    @pytest.mark.parametrize(
+        "h, state, stop",
+        [
+            (build_quartic_synthetic(0.95, default_quartic_a2(0.95), 39), 8,
+             f"period-2 cycle at sweep {SWITCH + 1}"),
+            (build_quartic_true(0.4, 13), 2,
+             f"coefficient magnitude exceeded {DIVERGENCE_GUARD:.1e}"),
+        ],
+        ids=["cycle", "guard"],
+    )
+    def test_stop_on_the_first_long_sweep(self, h, state, stop):
+        # sweep 257 is the first of the rebuilt stack's first long batch: the
+        # cycle compares with, and the guard reports, a column carried over
+        ref = reference_iterate(h, state, 10000)
+        assert ref[:3] == ("algorithm_failure", self.SWITCH + 1, stop)
+        self.assert_same(iterate_solve(h, state), ref)
 
     @pytest.mark.parametrize(
         "h",
