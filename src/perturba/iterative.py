@@ -59,10 +59,14 @@ of the batch (below) in which it stops.  Both see the same block submatrix,
 so they give the same result per state.  A column stops when
 
 1. converged: |E - E_prev| <= rspt.RELATIVE_TOL * |E + E_prev| / 2, and
-   the same test passes for every coefficient (CONVERGED).  A coefficient
-   step that misses its test by less than 4 ulps of 1, the state's own
-   coefficient, is rounding noise and passes: tiny coefficients jitter at
-   that level in relative terms forever;
+   the same test passes for every coefficient.  A coefficient step that
+   misses its test by less than 4 ulps of 1, the state's own coefficient,
+   is rounding noise and passes: tiny coefficients jitter at that level in
+   relative terms forever.  The column is then CONVERGED if its residual
+   |H c - E c| / |c| on the block is at most 1e-9 times the block's
+   Frobenius norm; otherwise it has stalled on no eigenpair
+   (ALGORITHM_FAILURE).  The rotation below is orthogonal, so the residual
+   is the same in the rotated basis;
 2. cycle: it failed the tests and its new column equals exactly the column
    from two sweeps back.  The update depends only on the committed column and
    both tests are symmetric, so it would alternate unconverged until the cap
@@ -129,6 +133,9 @@ _LONG_AFTER = 256
 _BATCH_ENTRIES = 1 << 16
 # Comparing with a 0-d array skips the conversion of a Python float per call.
 _ZERO = np.zeros(())
+# A column that passes the step tests is an eigenpair only if its residual is
+# at most this times the block's Frobenius norm (stop rule 1).
+_RESIDUAL_TOL = 1.0e-9
 
 
 def iterate_solve(h, state: int, max_iterations: int = 10000) -> PerturbationSolution:
@@ -324,6 +331,11 @@ def _sweep(
     state at the same sweep, with the same result, as iterate_solve.
     """
     a = h[np.ix_(block, block)]
+    # The residual gate's block-sized products go through einsum, not BLAS:
+    # a multithreaded BLAS call per solve cost the 400 x 400 osc2d blocks
+    # more than its flops (np.linalg.norm of a block took milliseconds while
+    # the other core was busy).
+    residual_bound = _RESIDUAL_TOL * np.sqrt(np.einsum("ij,ij->", a, a))
     rotations = _rotate_tied_groups(a)
     results: list[PerturbationSolution | None] = [None] * states.size
 
@@ -385,7 +397,15 @@ def _sweep(
                 s = first[j]
                 sweep = int(it + s + 1)
                 if converged[s, j]:
-                    finish(j, news[s, j], e1[s, j], sweep, SolveStatus.CONVERGED)
+                    c = news[s, j].copy()
+                    c[st.ks[j]] = 1.0
+                    r = np.einsum("ij,j->i", a, c) - e1[s, j] * c
+                    residual = np.linalg.norm(r) / np.linalg.norm(c)
+                    if residual <= residual_bound:
+                        finish(j, news[s, j], e1[s, j], sweep, SolveStatus.CONVERGED)
+                    else:  # nan-safe
+                        finish(j, news[s, j], e1[s, j], sweep, SolveStatus.ALGORITHM_FAILURE,
+                               f"stalled: residual {residual:.2e}")
                 elif cycling[s, j]:
                     finish(j, news[s, j], e1[s, j], sweep, SolveStatus.ALGORITHM_FAILURE,
                            f"period-2 cycle at sweep {sweep}")

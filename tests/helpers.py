@@ -6,6 +6,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from perturba.oscillator import cached_element_table
+
 
 @lru_cache(maxsize=None)
 def hermite_coefficients(n: int) -> tuple[int, ...]:
@@ -66,14 +68,43 @@ def random_dominant(rng: np.random.Generator, dim: int) -> np.ndarray:
     return np.diag(diag) + 0.05 * min_gap * off
 
 
+def dense_2d_matrices(beta: float, a: float, n_max: int):
+    """The 2-D oscillator matrices as dense N x N sums, one fancy-indexed term each.
+
+    Returns (true H, transformed H, F, G) on the triangular basis of cut
+    n_max: H = diag(n1 + n2 + 1) + beta xi1 xi2, the transformed matrix with
+    couplings (beta + (m1 + m2 - n1 - n2) a) xi1 xi2 less
+    G = a^2 / 2 (xi1^2 delta2 + xi2^2 delta1), and F = (E0_m - E0_n) a xi1 xi2.
+    The band builders must give every one of them to the byte.
+    """
+    pairs = np.array([(n1, t - n1) for t in range(n_max + 1) for n1 in range(t + 1)])
+    n1, n2 = pairs[:, 0], pairs[:, 1]
+    xi = cached_element_table("xi", n_max).values
+    x2tab = cached_element_table("xi2", n_max).values
+    x1 = xi[n1[:, None], n1[None, :]]
+    x2 = xi[n2[:, None], n2[None, :]]
+    total = n1 + n2
+    same1 = n1[:, None] == n1[None, :]
+    same2 = n2[:, None] == n2[None, :]
+    g_bands = x2tab[n1[:, None], n1[None, :]] * same2 + x2tab[n2[:, None], n2[None, :]] * same1
+    true = np.diag(total + 1.0) + beta * x1 * x2
+    factor = beta + (total[None, :] - total[:, None]) * a
+    synthetic = np.diag(total + 1.0) + factor * x1 * x2 - 0.5 * a * a * g_bands
+    e0 = total + 1.0
+    f = (e0[None, :] - e0[:, None]) * (a * x1 * x2)
+    g = 0.5 * a**2 * g_bands
+    return true, synthetic, f, g
+
+
 def reference_iterate(h: np.ndarray, state: int, max_iterations: int):
     """The quadratic coefficient iteration one sweep at a time, on matrices without rotated ties.
 
     Written from the iterative module's docstring: the update on the
     state's coupling block, with the tie-break sign(k - l) and c[l] = s
     where the denominator is 0, then stop rules 1-4 tested after every
-    sweep.  A tied group that is symmetric and coupled within itself would
-    be rotated by the solver first; that step is not written here.
+    sweep, with the residual gate of stop rule 1.  A tied group that is
+    symmetric and coupled within itself would be rotated by the solver
+    first; that step is not written here.
     Returns (status value, iterations, detail, energy, coefficients).
     """
     linked = (h != 0.0) | (h.T != 0.0)
@@ -86,6 +117,7 @@ def reference_iterate(h: np.ndarray, state: int, max_iterations: int):
     d = a[k, k] - np.diag(a)
     s = np.where(d == 0.0, np.sign(k - np.arange(block.size)), np.sign(d))
     c, two_back, e, hc = np.zeros(block.size), np.full(block.size, np.nan), a[k, k], 0.0
+    residual_bound = 1.0e-9 * np.sqrt(np.einsum("ij,ij->", a, a))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for it in range(1, max_iterations + 1):
             y = a[:, k] + (a @ c - np.diag(a) * c) - c * (hc - a[k] * c)
@@ -98,7 +130,14 @@ def reference_iterate(h: np.ndarray, state: int, max_iterations: int):
             new_e = a[k, k] + new_hc
             settled = np.abs(c - new) - 0.5e-10 * np.abs(c + new) <= 4.0 * np.finfo(float).eps
             if abs(new_e - e) <= 0.5e-10 * abs(new_e + e) and settled.all():
-                stop = ("converged", None, new_e, new)
+                column = new.copy()
+                column[k] = 1.0
+                r = np.einsum("ij,j->i", a, column) - new_e * column
+                residual = np.linalg.norm(r) / np.linalg.norm(column)
+                if residual <= residual_bound:
+                    stop = ("converged", None, new_e, new)
+                else:
+                    stop = ("algorithm_failure", f"stalled: residual {residual:.2e}", new_e, new)
             elif np.array_equal(new, two_back):
                 stop = ("algorithm_failure", f"period-2 cycle at sweep {it}", new_e, new)
             elif not np.abs(new).max() <= 1.0e12:

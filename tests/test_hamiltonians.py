@@ -1,6 +1,7 @@
 """Benchmark matrix builders: entries, transforms, and structure checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,8 +22,11 @@ from perturba.hamiltonians import (
     quartic_a3,
     verify_fg_structure,
 )
+from perturba.hamiltonians import _transform_f_g
 from perturba.linalg import symmetry_defect
 from perturba.oscillator import cached_element_table, xi2_element, xi4_element, xi_element
+
+from helpers import dense_2d_matrices
 
 
 class TestLinearBuilders:
@@ -245,6 +249,47 @@ class TestCoupled2D:
         true_eigs = np.linalg.eigvalsh(build_2d_true(beta, 12))
         synth_eigs = np.sort(np.linalg.eigvals(build_2d_synthetic(beta, a, 12)).real)
         assert np.allclose(true_eigs[:4], synth_eigs[:4], atol=1e-6)
+
+
+class TestBandAssembly2D:
+    """The band builders against the dense N x N sums they replace."""
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 7, 12, 39])
+    @pytest.mark.parametrize(
+        "beta,a", [(0.4, 0.2), (0.9, -0.45), (0.3, 0.7), (0.0, 0.0), (-0.0, -0.0)]
+    )
+    def test_same_bytes_as_the_dense_sum(self, beta, a, n_max):
+        true, synthetic, f, g = dense_2d_matrices(beta, a, n_max)
+        h_fg, f_fg, g_fg = _transform_f_g("osc2d", beta, a, n_max)
+        built = {
+            "true": (build_2d_true(beta, n_max), true),
+            "synthetic": (build_2d_synthetic(beta, a, n_max), synthetic),
+            "H": (h_fg, true),
+            "F": (f_fg, f),
+            "G": (g_fg, g),
+        }
+        for name, (band, dense) in built.items():
+            assert band.dtype == dense.dtype and band.shape == dense.shape, name
+            assert band.tobytes() == dense.tobytes(), name
+        # the dense sums leave no -0.0 behind, so neither may the bands; F is a
+        # product, whose zeros carry the sign of the shell gap times a
+        for name in ("true", "synthetic", "H", "G"):
+            band = built[name][0]
+            assert not np.signbit(band[band == 0.0]).any(), name
+
+    @pytest.mark.parametrize(
+        "build", [lambda: build_2d_synthetic(0.4, 0.2, 60), lambda: build_2d_true(0.4, 60)]
+    )
+    def test_peak_allocation_is_about_one_matrix(self, build):
+        build()  # element tables cached outside the trace
+        tracemalloc.start()
+        try:
+            h = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h.shape == (1891, 1891)
+        assert peak <= 1.5 * h.nbytes
 
 
 class TestStructureVerification:
