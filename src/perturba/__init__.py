@@ -24,14 +24,8 @@ from .oscillator import (
     IndexOutOfRangeError,
     build_element_table,
     cached_element_table,
-    lambda_xi3_element,
-    lambda_xi_element,
     wavefunction_value,
     write_table_csv,
-    xi2_element,
-    xi3_element,
-    xi4_element,
-    xi_element,
 )
 from .rspt import OrderHistory, rspt_solve, rspt_solve_all
 from .iterative import iterate_solve, iterate_solve_all

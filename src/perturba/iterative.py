@@ -94,13 +94,18 @@ The sweeps run in one stack object per set of running columns, built when
 the sweep starts, rebuilt with 16-sweep batches when a column stops and with
 64-sweep batches once after 256 sweeps without a stop: the constants of the
 update, the column history of a batch, every intermediate array, and the
-views each sweep reads and writes, bound once, so that a sweep is 15 numpy
-calls (17 on a block with an exact tie).  A batch starts by copying
+views each sweep reads and writes, bound once, so that a sweep is 17 numpy
+calls (19 on a block with an exact tie).  A batch starts by copying
 the last two columns and the last sum_l H[k, l] c[l] of the previous one to
-the front of the history, and takes every energy from those sums.  The
-products diag(H) * c and H[k, l] * c are one call on the stacked factors
-[diag; H[k, :]], and 4 H[k, l] * y and 2 s * y one call on
-[4 H[k, :]; 2 s]; every number is rounded as by the separate products.
+the front of the history, and takes every energy from those sums.  Each
+elementwise product, diag(H) * c, H[k, l] * c, 4 H[k, l] * y and 2 s * y,
+is its own call on factors stored at the shape of the columns: numpy takes
+about three times as long over a call that broadcasts its operands.  A
+stack of one column, which is every iterate_solve and an iterate_solve_all
+block once one column is left running, works on 1-D rows with 0-d sums, and
+its two products are np.dot; a wider stack keeps m x n rows and the stacked
+np.matmul.  Both products run the BLAS gemv and ddot kernels for each
+column, so a column is rounded the same whichever stack it runs in.
 The root is computed as sqrt(q) without clamping q at 0: where q < 0 the
 square root is nan, and the vertex root replaces that entry anyway, and a
 nan q stays nan either way.  So the denominator is exactly 0 only where q
@@ -229,7 +234,11 @@ class _Stack:
     hcs[s + 1] its sum_l H[k, l] c[l]; cols[0], cols[1] and hcs[0] carry the
     last two columns and the last sum of the previous batch, so the energies
     of a batch are ek + hcs.  The views of each sweep are bound once, and
-    every ufunc writes into a buffer.
+    every ufunc writes into a buffer.  A stack of one column binds 1-D row
+    views of every m x n array and 0-d views of the sums, and its products
+    are np.dot; a wider stack keeps the m x n rows and the stacked
+    np.matmul.  Both run BLAS gemv and ddot for each column, so a column is
+    rounded alike whether it runs alone or not.
     """
 
     def __init__(
@@ -240,34 +249,24 @@ class _Stack:
         self.ks, self.slots = ks, slots
         own = np.arange(m) * n + ks  # entry k of each state's row, flat
         self.ek = diag[ks]
-        # The factors of the two stacked products of a sweep,
-        # [diag; H[k, l]] * c and [4 H[k, l]; 2 s] * y.
-        self.diag_hk = np.empty((2, m, n))
-        self.diag_hk[0] = diag
-        hk = self.diag_hk[1]  # H[k, l]
-        np.take(a, ks, axis=0, out=hk)
-        self.hk_rows = hk[:, None, :]
-        self.hck = np.ascontiguousarray(a[:, ks].T)  # H[l, k]
+        hk = a[ks]  # H[k, l]
         gap = self.ek[:, None] - diag
         sign = np.where(gap == 0.0, np.sign(ks[:, None] - np.arange(n)), np.sign(gap))
-        # 2 s y / (sqrt(q) + |d|) rounds as s y / ((sqrt(q) + |d|) / 2), one product fewer
-        self.hk4_sign2 = np.empty_like(self.diag_hk)
-        np.multiply(4.0, hk, out=self.hk4_sign2[0])
-        np.multiply(2.0, sign, out=self.hk4_sign2[1])
-        self.abs_gap = np.abs(gap)
+        abs_gap = np.abs(gap)
         # The update's denominator can vanish only where the gap does; s is
         # kept for those entries only if there are any.
-        tied = self.abs_gap == 0.0
+        tied = abs_gap == 0.0
         tied.ravel()[own] = False
-        self.tie_sign = sign if tied.any() else None
-        self.gap2 = gap * gap
-        self.vertex = -gap / np.where(hk != 0.0, 2.0 * hk, 1.0)
+        gap2 = gap * gap
+        vertex = -gap / np.where(hk != 0.0, 2.0 * hk, 1.0)
+        # 2 s y / (sqrt(q) + |d|) rounds as s y / ((sqrt(q) + |d|) / 2), one product fewer
+        hk4, sign2 = 4.0 * hk, 2.0 * sign
         # On entry k, q = -inf + 0 y[k] < 0, so the vertex root writes its +0.0
         # wherever y[k] is finite.  Up to a column's first stop it is: y[k] =
         # H[k, k] + sum_l H[k, l] c[l] on an input column that passed the guard.
-        self.gap2.ravel()[own] = -np.inf
-        self.hk4_sign2[0].ravel()[own] = 0.0
-        self.vertex.ravel()[own] = 0.0
+        gap2.ravel()[own] = -np.inf
+        hk4.ravel()[own] = 0.0
+        vertex.ravel()[own] = 0.0
 
         # A batch runs at most cap sweeps, the number left, and keeps about
         # _BATCH_ENTRIES coefficients of column history.
@@ -275,35 +274,49 @@ class _Stack:
         self.cols = np.empty((steps + 2, m, n))
         self.hcs = np.empty((steps + 1, m, 1))
         self.cols[0], self.cols[1], self.hcs[0] = carry
-        self.pair = np.empty((2, m, n))  # the stacked products
-        self.work = np.empty((m, n))
-        self.mask = np.empty((m, n), dtype=bool)
+        # One column sweeps 1-D rows with 0-d sums through np.dot; more sweep
+        # m x n rows with m x 1 sums through the stacked np.matmul.
+        if m == 1:
+            self.product, row, vec, left, total, out = np.dot, (n,), (n,), (n,), (), ()
+        else:
+            self.product, row, vec, left = np.matmul, (m, n), (m, n, 1), (m, 1, n)
+            total, out = (m, 1), (m, 1, 1)
+        self.diag = np.tile(diag, (m, 1)).reshape(row)
+        self.hk, self.hk_left, self.hk4 = hk.reshape(row), hk.reshape(left), hk4.reshape(row)
+        self.hck = np.ascontiguousarray(a[:, ks].T).reshape(row)  # H[l, k]
+        self.sign2 = sign2.reshape(row)
+        self.tie_sign = sign.reshape(row) if tied.any() else None
+        self.gap2, self.abs_gap = gap2.reshape(row), abs_gap.reshape(row)
+        self.vertex = vertex.reshape(row)
+        self.first, self.second, self.work = np.empty(row), np.empty(row), np.empty(row)
+        self.work_out = self.work.reshape(vec)
+        self.mask = np.empty(row, dtype=bool)
         cols, hcs = self.cols, self.hcs
         self.sweeps = [
-            (c, c[:, :, None], hc, new, new[:, :, None], hc_new[:, :, None])
+            (c.reshape(row), c.reshape(vec), hc.reshape(total),
+             new.reshape(row), new.reshape(vec), hc_new.reshape(out))
             for c, new, hc, hc_new in zip(cols[1:-1], cols[2:], hcs[:-1], hcs[1:])
         ]
 
     def run(self, a: np.ndarray, steps: int) -> None:
         """Sweep steps times from cols[1]: fill cols[2 : steps + 2] and hcs[1 : steps + 1]."""
-        diag_hk, hk4_sign2, hck, gap2, abs_gap = (
-            self.diag_hk, self.hk4_sign2, self.hck, self.gap2, self.abs_gap
-        )
-        vertex, tie_sign, hk_rows = self.vertex, self.tie_sign, self.hk_rows
-        pair, work, mask = self.pair, self.work, self.mask
-        work3 = work[:, :, None]
-        first, second = pair  # diag c, H[k, l] c; then q, 2 s y
-        matmul, multiply, subtract, add = np.matmul, np.multiply, np.subtract, np.add
+        diag, hk, hk4, sign2, hck = self.diag, self.hk, self.hk4, self.sign2, self.hck
+        gap2, abs_gap, vertex, tie_sign = self.gap2, self.abs_gap, self.vertex, self.tie_sign
+        first, second, work, work_out = self.first, self.second, self.work, self.work_out
+        mask, product, hk_left = self.mask, self.product, self.hk_left
+        multiply, subtract, add = np.multiply, np.subtract, np.add
         sqrt, divide, equal, less, putmask = np.sqrt, np.divide, np.equal, np.less, np.putmask
-        for c, c3, hc, new, new3, hc_new in self.sweeps[:steps]:
-            matmul(a, c3, work3)
-            multiply(diag_hk, c, pair)
+        for c, c_vec, hc, new, new_vec, hc_new in self.sweeps[:steps]:
+            product(a, c_vec, work_out)
+            multiply(diag, c, first)
+            multiply(hk, c, second)
             subtract(work, first, work)
             add(hck, work, work)
             subtract(hc, second, second)
             multiply(c, second, second)
             subtract(work, second, work)  # y
-            multiply(hk4_sign2, work, pair)
+            multiply(hk4, work, first)
+            multiply(sign2, work, second)
             add(gap2, first, first)  # q
             sqrt(first, work)  # nan where q < 0: the vertex root replaces it
             add(work, abs_gap, work)
@@ -313,7 +326,7 @@ class _Stack:
                 putmask(new, mask, tie_sign)
             less(first, _ZERO, mask)
             putmask(new, mask, vertex)
-            matmul(hk_rows, new3, hc_new)
+            product(hk_left, new_vec, hc_new)
 
 
 def _sweep(
@@ -326,9 +339,10 @@ def _sweep(
     columns are scattered back to full length, zero outside the block.
     The columns are stored one state per row, and the products are stacks
     of matrix-vector and dot products rather than one matrix-matrix
-    product, so that every column is rounded exactly as when swept alone:
-    the cycle test compares bits, and iterate_solve_all must stop each
-    state at the same sweep, with the same result, as iterate_solve.
+    product, or plain ones for a single column, so that every column is
+    rounded exactly as when swept alone: the cycle test compares bits, and
+    iterate_solve_all must stop each state at the same sweep, with the same
+    result, as iterate_solve.
     """
     a = h[np.ix_(block, block)]
     # The residual gate's block-sized products go through einsum, not BLAS:

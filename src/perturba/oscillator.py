@@ -2,12 +2,11 @@
 
 Everything works in the dimensionless coordinate of a unit oscillator, where
 state n has energy n + 1/2.  Matrix elements of xi, xi^2, xi^3 and xi^4 come
-from closed-form band expressions, each written once in _BANDS: the tables
-evaluate a band on an index array, the scalar lookups at one index.  The
-absolute-value operators |xi| and |xi|^3 (tagged lambda_xi and lambda_xi3)
-have no finite band, so those elements are integrated numerically on the
-half line and extended to very large indices by power-law scaling of anchor
-values:
+from closed-form band expressions, each written once in _BANDS and
+evaluated by the tables on an index array.  The absolute-value operators
+|xi| and |xi|^3 (tagged lambda_xi and lambda_xi3) have no finite band, so
+those elements are integrated numerically on the half line and extended to
+very large indices by power-law scaling of anchor values:
 
 * they vanish whenever n + m is odd,
 * numerical integration is trusted for min(n, m) <= 100 - k/2 with
@@ -17,9 +16,8 @@ values:
 * for min index beyond the trusted row limit, the value at the limit row is
   scaled by (n/n_e)^(1/2) for |xi| and (n/n_e)^(3/2) for |xi|^3.
 
-Tables are capped at 500 x 500.  The scalar |xi| and |xi|^3 lookups read
-full-size tables memoized apart from the builders' cache, so the
-extrapolation rule exists only in the table builder.
+Tables are capped at 500 x 500; an element is read from a table, as
+cached_element_table(tag, max_n).value(n, m).
 """
 
 from __future__ import annotations
@@ -98,16 +96,8 @@ def wavefunction_rows(n_max: int, xi) -> np.ndarray:
     return rows
 
 
-def _check_indices(n: int, m: int) -> None:
-    if n < 0 or m < 0:
-        raise IndexOutOfRangeError("indices must be non-negative")
-    if n > TABLE_LIMIT or m > TABLE_LIMIT:
-        raise IndexOutOfRangeError(f"indices above {TABLE_LIMIT} are not tabulated")
-
-
 # <a|xi^p|a+k> for each band k of each closed-form operator, as a function
-# of the smaller index a: a Python int or a numpy index array.  Both give
-# the same bits, so tables and scalar lookups agree exactly
+# of the smaller index a, a numpy index array
 _BANDS = {
     "xi": {1: lambda a: np.sqrt((a + 1) / 2.0)},
     "xi2": {
@@ -124,32 +114,6 @@ _BANDS = {
         4: lambda a: 0.25 * np.sqrt((a + 1.0) * (a + 2.0) * (a + 3.0) * (a + 4.0)),
     },
 }
-
-
-def _band_element(tag: str, n: int, m: int) -> float:
-    _check_indices(n, m)
-    band = _BANDS[tag].get(abs(n - m))
-    return 0.0 if band is None else float(band(min(n, m)))
-
-
-def xi_element(n: int, m: int) -> float:
-    """<n|xi|m>: single band at |n - m| = 1."""
-    return _band_element("xi", n, m)
-
-
-def xi2_element(n: int, m: int) -> float:
-    """<n|xi^2|m>: bands at |n - m| = 0 and 2."""
-    return _band_element("xi2", n, m)
-
-
-def xi3_element(n: int, m: int) -> float:
-    """<n|xi^3|m>: bands at |n - m| = 1 and 3."""
-    return _band_element("xi3", n, m)
-
-
-def xi4_element(n: int, m: int) -> float:
-    """<n|xi^4|m>: bands at |n - m| = 0, 2 and 4."""
-    return _band_element("xi4", n, m)
 
 
 @lru_cache(maxsize=8)
@@ -251,26 +215,6 @@ def build_element_table(tag: str, max_n: int) -> ElementTable:
 def cached_element_table(tag: str, max_n: int) -> ElementTable:
     """Memoized build_element_table."""
     return build_element_table(tag, max_n)
-
-
-@lru_cache(maxsize=None)
-def _full_table(tag: str) -> ElementTable:
-    """The full-size table the scalar lookups read.
-
-    Cached apart from cached_element_table, whose bounded cache builders at
-    many sizes would otherwise evict it, forcing a rebuild on the next lookup.
-    """
-    return build_element_table(tag, TABLE_LIMIT)
-
-
-def lambda_xi_element(n: int, m: int) -> float:
-    """<n| |xi| |m>, read from the full-size table."""
-    return _full_table("lambda_xi").value(n, m)
-
-
-def lambda_xi3_element(n: int, m: int) -> float:
-    """<n| |xi|^3 |m>, read from the full-size table."""
-    return _full_table("lambda_xi3").value(n, m)
 
 
 def write_table_csv(table: ElementTable, stream) -> None:

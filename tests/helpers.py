@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from perturba.oscillator import cached_element_table
+from perturba.oscillator import TABLE_LIMIT, cached_element_table
 
 
 @lru_cache(maxsize=None)
@@ -25,6 +25,11 @@ def hermite_coefficients(n: int) -> tuple[int, ...]:
             nxt[j] -= 2 * k * c
         prev, cur = cur, tuple(nxt)
     return cur
+
+
+def element(tag: str, n: int, m: int) -> float:
+    """<n|op|m> of one operator tag, read from its full-size cached table."""
+    return cached_element_table(tag, TABLE_LIMIT).value(n, m)
 
 
 def abs_power_oracle(n: int, m: int, power: int) -> float:

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import abs_power_oracle, random_dominant
+from helpers import abs_power_oracle, element, random_dominant
 
 from perturba.experiments import (
     QUARTIC_BENCHMARK,
@@ -50,8 +50,6 @@ from perturba.oscillator import (
     QUAD_ROW_LIMIT,
     _quadrature_element,
     build_element_table,
-    lambda_xi3_element,
-    lambda_xi_element,
 )
 from perturba.rspt import rspt_solve
 
@@ -274,16 +272,16 @@ def test_criterion_08_element_suite():
     for n in range(21):
         for m in range(n, 21):
             worst = max(
-                worst, abs(lambda_xi3_element(n, m) - abs_power_oracle(n, m, 3))
+                worst, abs(element("lambda_xi3", n, m) - abs_power_oracle(n, m, 3))
             )
     checks.append(("cubic-magnitude vs exact moments", worst <= 1e-8, f"{worst:.2e}"))
 
     # extrapolations anchor continuously at both region boundaries
-    for power, fn in ((1, lambda_xi_element), (3, lambda_xi3_element)):
+    for power, tag in ((1, "lambda_xi"), (3, "lambda_xi3")):
         for a in (0, 5, 10):
             m = a + QUAD_BAND_LIMIT + 2
             raw = _quadrature_element(a, m, power)
-            val = fn(a, m)
+            val = element(tag, a, m)
             ok = raw != 0.0 and abs(val / raw - 1.0) <= 0.15
             checks.append(
                 (f"band seam p={power} ({a},{m})", ok, f"ratio={val / raw:.3f}")
@@ -291,7 +289,7 @@ def test_criterion_08_element_suite():
         for k in (0, 2):
             a = QUAD_ROW_LIMIT - k // 2 + 1
             raw = _quadrature_element(a, a + k, power)
-            val = fn(a, a + k)
+            val = element(tag, a, a + k)
             ok = raw != 0.0 and abs(val / raw - 1.0) <= 0.15
             checks.append(
                 (f"row seam p={power} ({a},{a + k})", ok, f"ratio={val / raw:.3f}")

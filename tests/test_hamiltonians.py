@@ -24,9 +24,9 @@ from perturba.hamiltonians import (
 )
 from perturba.hamiltonians import _transform_f_g
 from perturba.linalg import symmetry_defect
-from perturba.oscillator import cached_element_table, xi2_element, xi4_element, xi_element
+from perturba.oscillator import cached_element_table
 
-from helpers import dense_2d_matrices
+from helpers import dense_2d_matrices, element
 
 
 class TestLinearBuilders:
@@ -43,7 +43,7 @@ class TestLinearBuilders:
         for n in range(dim):
             assert h[n, n] == n + 0.5
         for n in range(dim - 1):
-            assert h[n, n + 1] == h[n + 1, n] == beta * xi_element(n, n + 1), n
+            assert h[n, n + 1] == h[n + 1, n] == beta * element("xi", n, n + 1), n
         assert np.count_nonzero(h) == 3 * dim - 2
 
     def test_synthetic_bands(self):
@@ -52,7 +52,7 @@ class TestLinearBuilders:
         for n in range(dim):
             assert h[n, n] == (n + 0.5) - 0.5 * a * a
         for n in range(dim - 1):
-            x = xi_element(n, n + 1)
+            x = element("xi", n, n + 1)
             assert h[n, n + 1] == (beta + a) * x, n
             assert h[n + 1, n] == (beta - a) * x, n
         assert np.count_nonzero(h) == 3 * dim - 2
@@ -92,10 +92,10 @@ class TestQuarticBuilders:
         assert h[0, 5] == 0.0
         assert symmetry_defect(h) == 0.0
         for n in range(dim):
-            assert h[n, n] == (n + 0.5) + beta * xi4_element(n, n)
+            assert h[n, n] == (n + 0.5) + beta * element("xi4", n, n)
         for k in (2, 4):
             for n in range(dim - k):
-                v = beta * xi4_element(n, n + k)
+                v = beta * element("xi4", n, n + k)
                 assert h[n, n + k] == h[n + k, n] == v, (n, k)
         assert np.count_nonzero(h) == 5 * dim - 12
 
@@ -108,7 +108,7 @@ class TestQuarticBuilders:
             for m in range(dim):
                 expected = (
                     (n + 0.5 if n == m else 0.0)
-                    - (2.0 * a2 + n - m) * a2 * xi2_element(min(n, m), max(n, m))
+                    - (2.0 * a2 + n - m) * a2 * element("xi2", min(n, m), max(n, m))
                     * (1.0 if abs(n - m) in (0, 2) else 0.0)
                     - (6.0 * a2 + n - m) * a3 * lxi3.value(n, m)
                 )
@@ -223,7 +223,7 @@ class TestCoupled2D:
         basis = BasisMap2D.triangular(6)
         h = build_2d_true(beta, 6)
         i, j = basis.index(0, 0), basis.index(1, 1)
-        assert h[i, j] == pytest.approx(beta * xi_element(0, 1) ** 2, abs=1e-15)
+        assert h[i, j] == pytest.approx(beta * element("xi", 0, 1) ** 2, abs=1e-15)
         # single-mode changes require the other mode's xi element to vanish
         assert h[basis.index(0, 0), basis.index(1, 0)] == 0.0
 
@@ -239,8 +239,8 @@ class TestCoupled2D:
         for i, (n1, n2) in enumerate(basis.pairs):
             expected = (
                 n1 + n2 + 1.0
-                + beta * xi_element(n1, n1) * xi_element(n2, n2)
-                - 0.5 * a * a * (xi2_element(n1, n1) + xi2_element(n2, n2))
+                + beta * element("xi", n1, n1) * element("xi", n2, n2)
+                - 0.5 * a * a * (element("xi2", n1, n1) + element("xi2", n2, n2))
             )
             assert h[i, i] == pytest.approx(expected, rel=1e-13), (n1, n2)
 

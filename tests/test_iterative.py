@@ -59,6 +59,15 @@ def quartic_grid(beta: float) -> np.ndarray:
     return build_quartic_synthetic(beta, default_quartic_a2(beta), 100)
 
 
+def random_symmetric(seed: int) -> np.ndarray:
+    """A random symmetric matrix of dimension 3 to 6 with a sorted diagonal."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(3, 7))
+    h = rng.normal(size=(dim, dim)) * rng.choice([0.3, 1.0, 3.0])
+    h += np.diag(np.sort(rng.normal(size=dim) * 2))
+    return (h + h.T) / 2
+
+
 def eig2(a: float, b: float, w: float) -> tuple[float, float]:
     mean = (a + b) / 2.0
     r = math.hypot((a - b) / 2.0, w)
@@ -358,11 +367,7 @@ class TestSolveAll:
         # State 0 converges at sweep 28, so the other columns move to a new
         # stack after sweep 32.  State 1 repeats its sweep-31 column at sweep
         # 33: only the column carried over from two sweeps back shows it.
-        rng = np.random.default_rng(1033)
-        dim = int(rng.integers(3, 7))
-        h = rng.normal(size=(dim, dim)) * rng.choice([0.3, 1.0, 3.0])
-        h += np.diag(np.sort(rng.normal(size=dim) * 2))
-        h = (h + h.T) / 2
+        h = random_symmetric(1033)
         sols = iterate_solve_all(h, max_iterations=100)
         assert sols[0].converged and sols[0].iterations == 28
         assert sols[1].detail == "period-2 cycle at sweep 33"
@@ -499,6 +504,39 @@ class TestAgainstReference:
             ref = reference_iterate(h, k, 10000)
             self.assert_same(iterate_solve(h, k), ref)
             self.assert_same(block[k], ref)
+
+    @pytest.mark.parametrize(
+        "seed, widths, alone, stop",
+        [
+            # states 4, 0 and 3 converge at sweeps 13, 16 and 19, and state 2
+            # at 93; state 1 runs alone from sweep 97 and cycles there,
+            # against the column of sweep 95 carried into its new stack
+            (2451, [5, 3, 2, 1], 1, "period-2 cycle at sweep 97"),
+            # state 1 stalls at sweep 30, and states 0 and 2 cycle at 85 and
+            # 153; state 3 runs alone from sweep 161, in long batches from
+            # sweep 417, up to the cap at 10,000
+            (9, [4, 3, 2, 1, 1], 3, None),
+        ],
+        ids=["cycle", "cap"],
+    )
+    def test_block_narrowed_to_one_column(self, monkeypatch, seed, widths, alone, stop):
+        # a block's stack binds 1-D views once one column is left running
+        built = []
+
+        class Recording(iterative._Stack):
+            def __init__(self, a, ks, *rest):
+                built.append(ks.size)
+                super().__init__(a, ks, *rest)
+
+        monkeypatch.setattr(iterative, "_Stack", Recording)
+        h = random_symmetric(seed)
+        block = iterate_solve_all(h)
+        assert built == widths
+        assert not block[alone].converged and block[alone].detail == stop
+        for k in range(h.shape[0]):
+            ref = reference_iterate(h, k, 10000)
+            self.assert_same(block[k], ref)
+            self.assert_same(iterate_solve(h, k), ref)
 
     def test_zero_diagonal_entry_of_the_target(self):
         # H[k, k] = 0 makes q = 0 and the denominator 0 on the state's own

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import abs_power_oracle
+from helpers import abs_power_oracle, element
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,15 +32,9 @@ from perturba.oscillator import (
     _quadrature_element,
     build_element_table,
     cached_element_table,
-    lambda_xi3_element,
-    lambda_xi_element,
     wavefunction_rows,
     wavefunction_value,
     write_table_csv,
-    xi2_element,
-    xi3_element,
-    xi4_element,
-    xi_element,
 )
 
 
@@ -84,46 +78,46 @@ class TestWavefunctions:
 
 class TestClosedFormElements:
     def test_xi_band(self):
-        assert xi_element(0, 1) == pytest.approx(math.sqrt(0.5), rel=1e-15)
-        assert xi_element(4, 5) == pytest.approx(math.sqrt(2.5), rel=1e-15)
-        assert xi_element(3, 3) == 0.0
-        assert xi_element(0, 3) == 0.0
+        assert element("xi", 0, 1) == pytest.approx(math.sqrt(0.5), rel=1e-15)
+        assert element("xi", 4, 5) == pytest.approx(math.sqrt(2.5), rel=1e-15)
+        assert element("xi", 3, 3) == 0.0
+        assert element("xi", 0, 3) == 0.0
 
     def test_xi2(self):
-        assert xi2_element(5, 5) == pytest.approx(5.5, rel=1e-15)
-        assert xi2_element(0, 2) == pytest.approx(math.sqrt(2.0) / 2.0, rel=1e-15)
-        assert xi2_element(0, 1) == 0.0
+        assert element("xi2", 5, 5) == pytest.approx(5.5, rel=1e-15)
+        assert element("xi2", 0, 2) == pytest.approx(math.sqrt(2.0) / 2.0, rel=1e-15)
+        assert element("xi2", 0, 1) == 0.0
 
     def test_xi3(self):
-        assert xi3_element(0, 1) == pytest.approx(1.5 * math.sqrt(0.5), rel=1e-15)
-        assert xi3_element(0, 3) == pytest.approx(0.5 * math.sqrt(3.0), rel=1e-15)
-        assert xi3_element(2, 2) == 0.0
+        assert element("xi3", 0, 1) == pytest.approx(1.5 * math.sqrt(0.5), rel=1e-15)
+        assert element("xi3", 0, 3) == pytest.approx(0.5 * math.sqrt(3.0), rel=1e-15)
+        assert element("xi3", 2, 2) == 0.0
 
     def test_xi4(self):
-        assert xi4_element(0, 0) == pytest.approx(0.75, rel=1e-15)
-        assert xi4_element(0, 2) == pytest.approx(1.5 * math.sqrt(2.0), rel=1e-15)
-        assert xi4_element(0, 4) == pytest.approx(math.sqrt(24.0) / 4.0, rel=1e-15)
-        assert xi4_element(1, 1) == pytest.approx(0.75 * 5.0, rel=1e-15)
+        assert element("xi4", 0, 0) == pytest.approx(0.75, rel=1e-15)
+        assert element("xi4", 0, 2) == pytest.approx(1.5 * math.sqrt(2.0), rel=1e-15)
+        assert element("xi4", 0, 4) == pytest.approx(math.sqrt(24.0) / 4.0, rel=1e-15)
+        assert element("xi4", 1, 1) == pytest.approx(0.75 * 5.0, rel=1e-15)
 
     def test_symmetry(self):
-        for fn in (xi_element, xi2_element, xi3_element, xi4_element):
-            assert fn(3, 6) == fn(6, 3)
+        for tag in ("xi", "xi2", "xi3", "xi4"):
+            assert element(tag, 3, 6) == element(tag, 6, 3)
 
     def test_closed_forms_match_moment_oracle(self):
         # |xi|^p and xi^p agree on even-parity pairs for even powers; check
         # xi^2 and xi^4 against the same rational-moment machinery.
         for n, m in ((0, 0), (1, 1), (2, 4), (5, 7), (6, 6)):
             if (n + m) % 2 == 0:
-                assert xi2_element(n, m) == pytest.approx(
+                assert element("xi2", n, m) == pytest.approx(
                     abs_power_oracle(n, m, 2), abs=1e-12
                 )
-                assert xi4_element(n, m) == pytest.approx(
+                assert element("xi4", n, m) == pytest.approx(
                     abs_power_oracle(n, m, 4), abs=1e-12
                 )
 
     def test_rejects_negative_indices(self):
         with pytest.raises(IndexOutOfRangeError):
-            xi_element(-1, 0)
+            element("xi", -1, 0)
 
 
 class TestQuadratureScheme:
@@ -138,22 +132,22 @@ class TestQuadratureScheme:
 
 class TestAbsPowerElements:
     def test_known_values(self):
-        assert lambda_xi_element(0, 0) == pytest.approx(1.0 / math.sqrt(math.pi), abs=1e-12)
-        assert lambda_xi3_element(0, 0) == pytest.approx(
+        assert element("lambda_xi", 0, 0) == pytest.approx(1.0 / math.sqrt(math.pi), abs=1e-12)
+        assert element("lambda_xi3", 0, 0) == pytest.approx(
             1.0 / math.sqrt(math.pi), abs=1e-12
         )
-        assert lambda_xi3_element(0, 2) == pytest.approx(
+        assert element("lambda_xi3", 0, 2) == pytest.approx(
             6.0 / math.sqrt(8.0 * math.pi), abs=1e-12
         )
 
     def test_parity_zeros(self):
-        assert lambda_xi_element(0, 1) == 0.0
-        assert lambda_xi3_element(2, 5) == 0.0
+        assert element("lambda_xi", 0, 1) == 0.0
+        assert element("lambda_xi3", 2, 5) == 0.0
 
     def test_quadrature_matches_oracle_sample(self):
-        for power, fn in ((1, lambda_xi_element), (3, lambda_xi3_element)):
+        for power, tag in ((1, "lambda_xi"), (3, "lambda_xi3")):
             for n, m in ((0, 0), (0, 6), (3, 5), (10, 14), (20, 20), (17, 19)):
-                assert fn(n, m) == pytest.approx(
+                assert element(tag, n, m) == pytest.approx(
                     abs_power_oracle(n, m, power), abs=1e-10
                 ), (power, n, m)
 
@@ -165,42 +159,42 @@ class TestAbsPowerElements:
     @settings(max_examples=25, deadline=None)
     def test_property_quadrature_matches_oracle(self, n, half_gap, power):
         m = n + 2 * half_gap
-        fn = lambda_xi_element if power == 1 else lambda_xi3_element
-        assert fn(n, m) == pytest.approx(abs_power_oracle(n, m, power), abs=5e-9)
+        tag = "lambda_xi" if power == 1 else "lambda_xi3"
+        assert element(tag, n, m) == pytest.approx(abs_power_oracle(n, m, power), abs=5e-9)
 
     def test_operator_product_identity(self):
         # |xi|^3 = |xi| * xi^2; the xi^2 factor is banded so the composition
         # needs no tail beyond the table.
         for n, m in ((0, 0), (2, 8), (11, 13), (24, 30)):
             total = sum(
-                lambda_xi_element(n, j) * xi2_element(j, m)
+                element("lambda_xi", n, j) * element("xi2", j, m)
                 for j in (m - 2, m, m + 2)
                 if j >= 0
             )
-            assert lambda_xi3_element(n, m) == pytest.approx(total, abs=1e-9)
+            assert element("lambda_xi3", n, m) == pytest.approx(total, abs=1e-9)
 
 
 class TestExtrapolationRegion:
     def test_wide_band_continuity(self):
         # Extrapolated entries just past the band anchor stay within 10% of
         # the raw integral evaluated at the same indices.
-        for power, fn in ((1, lambda_xi_element), (3, lambda_xi3_element)):
+        for power, tag in ((1, "lambda_xi"), (3, "lambda_xi3")):
             for a in (0, 5, 10):
                 raw = _quadrature_element(a, a + QUAD_BAND_LIMIT + 2, power)
-                extrapolated = fn(a, a + QUAD_BAND_LIMIT + 2)
+                extrapolated = element(tag, a, a + QUAD_BAND_LIMIT + 2)
                 assert extrapolated == pytest.approx(raw, rel=0.10), (power, a)
 
     def test_row_limit_continuity(self):
-        for power, fn in ((1, lambda_xi_element), (3, lambda_xi3_element)):
+        for power, tag in ((1, "lambda_xi"), (3, "lambda_xi3")):
             for k in (0, 2):
                 row_limit = QUAD_ROW_LIMIT - k // 2
                 a = row_limit + 1
                 raw = _quadrature_element(a, a + k, power)
-                extrapolated = fn(a, a + k)
+                extrapolated = element(tag, a, a + k)
                 assert extrapolated == pytest.approx(raw, rel=0.10), (power, k)
 
     def test_wide_band_alternating_signs(self):
-        vals = [lambda_xi_element(0, k) for k in range(52, 70, 4)]
+        vals = [element("lambda_xi", 0, k) for k in range(52, 70, 4)]
         assert all(v != 0.0 for v in vals)
         signs = [math.copysign(1.0, v) for v in vals]
         assert signs == sorted(signs, reverse=True) or all(
@@ -208,7 +202,7 @@ class TestExtrapolationRegion:
         ) or len(set(signs)) <= 2
 
     def test_wide_band_magnitude_decays(self):
-        mags = [abs(lambda_xi3_element(0, k)) for k in range(52, 90, 2)]
+        mags = [abs(element("lambda_xi3", 0, k)) for k in range(52, 90, 2)]
         assert all(b < a for a, b in zip(mags, mags[1:]))
 
     @pytest.mark.parametrize("max_n", [99, 150, TABLE_LIMIT])
@@ -239,23 +233,18 @@ class TestExtrapolationRegion:
 
 class TestElementTables:
     def test_banded_tables_match_scalars(self):
-        for tag, fn in (
-            ("xi", xi_element),
-            ("xi2", xi2_element),
-            ("xi3", xi3_element),
-            ("xi4", xi4_element),
-        ):
+        for tag in ("xi", "xi2", "xi3", "xi4"):
             table = build_element_table(tag, 12)
             for n in range(13):
                 for m in range(13):
-                    assert table.value(n, m) == fn(n, m), (tag, n, m)
+                    assert table.value(n, m) == element(tag, n, m), (tag, n, m)
 
     def test_abs_tables_match_scalars_in_trusted_region(self):
-        for tag, fn in (("lambda_xi", lambda_xi_element), ("lambda_xi3", lambda_xi3_element)):
+        for tag in ("lambda_xi", "lambda_xi3"):
             table = build_element_table(tag, 24)
             for n in range(0, 25, 3):
                 for m in range(n, 25, 2):
-                    assert table.value(n, m) == pytest.approx(fn(n, m), abs=1e-10)
+                    assert table.value(n, m) == pytest.approx(element(tag, n, m), abs=1e-10)
 
     def test_sum_rules_on_inner_block(self):
         # xi2 = xi @ xi, xi3 = xi @ xi2, xi4 = xi2 @ xi2 away from the edge.
@@ -281,9 +270,9 @@ class TestElementTables:
         with pytest.raises(IndexOutOfRangeError):
             table.value(0, -1)
         with pytest.raises(IndexOutOfRangeError):
-            lambda_xi_element(-1, 0)
+            element("lambda_xi", -1, 0)
         with pytest.raises(IndexOutOfRangeError):
-            lambda_xi3_element(0, TABLE_LIMIT + 1)
+            element("lambda_xi3", 0, TABLE_LIMIT + 1)
 
     def test_build_rejects_unknown_tag(self):
         with pytest.raises(ValueError):
@@ -297,28 +286,6 @@ class TestElementTables:
         a = cached_element_table("xi2", 20)
         b = cached_element_table("xi2", 20)
         assert a is b
-
-    def test_scalar_lookup_table_survives_builder_sizes(self, monkeypatch):
-        # builders at many sizes fill the bounded cached_element_table; the
-        # full-size table behind the scalar lookups must not be rebuilt
-        from perturba import oscillator
-        from perturba.hamiltonians import build_quartic_synthetic
-
-        lambda_xi3_element(3, 5)
-        table = oscillator._full_table("lambda_xi3")
-        builds = []
-        real_build = oscillator.build_element_table
-
-        def counting_build(tag, max_n):
-            builds.append((tag, max_n))
-            return real_build(tag, max_n)
-
-        monkeypatch.setattr(oscillator, "build_element_table", counting_build)
-        for d in range(10, 30):
-            build_quartic_synthetic(0.5, -0.35, d)
-        lambda_xi3_element(3, 5)
-        assert ("lambda_xi3", TABLE_LIMIT) not in builds
-        assert oscillator._full_table("lambda_xi3") is table
 
     def test_values_read_only(self):
         table = build_element_table("xi", 4)
