@@ -88,7 +88,15 @@ gives.  A batch is 16 sweeps, so that a run stopping after a dozen sweeps
 wastes few; once the running columns have gone 256 sweeps without a stop,
 batches are 64 sweeps, so that a long run tests the rules a quarter as
 often.  A batch never runs past the cap, and on wide blocks it is shorter,
-so that its column history stays within a fixed size.
+so that its column history stays within a fixed size.  The cycle and guard
+tests read whole columns only where they can hold.  Equal columns have
+equal sums_l H[k, l] c[l], whichever stack width computed them (below),
+so the cycle test compares a column with the one from two sweeps back only
+where their sums are equal or nan; the batch carries the last two sums as
+well as the last two columns, so this holds on its first sweep too.  The
+guard first compares the batch's largest and smallest coefficient with
+rspt.DIVERGENCE_GUARD, and takes the per-column maxima only when either
+is outside or nan.
 
 The sweeps run in one stack object per set of running columns, built when
 the sweep starts, rebuilt with 16-sweep batches when a column stops and with
@@ -96,7 +104,7 @@ the sweep starts, rebuilt with 16-sweep batches when a column stops and with
 update, the column history of a batch, every intermediate array, and the
 views each sweep reads and writes, bound once, so that a sweep is 17 numpy
 calls (19 on a block with an exact tie).  A batch starts by copying
-the last two columns and the last sum_l H[k, l] c[l] of the previous one to
+the last two columns of the previous one and their sums_l H[k, l] c[l] to
 the front of the history, and takes every energy from those sums.  Each
 elementwise product, diag(H) * c, H[k, l] * c, 4 H[k, l] * y and 2 s * y,
 is its own call on factors stored at the shape of the columns: numpy takes
@@ -231,9 +239,9 @@ class _Stack:
     that set of states and the batch length, so the stack is reused from
     batch to batch and rebuilt only when a column stops or the batches
     lengthen.  cols[s + 2] is the column after sweep s of a batch and
-    hcs[s + 1] its sum_l H[k, l] c[l]; cols[0], cols[1] and hcs[0] carry the
-    last two columns and the last sum of the previous batch, so the energies
-    of a batch are ek + hcs.  The views of each sweep are bound once, and
+    hcs[s + 2] its sum_l H[k, l] c[l]; cols[:2] and hcs[:2] carry the last
+    two columns of the previous batch and their sums, so the energies of a
+    batch are ek + hcs[1:].  The views of each sweep are bound once, and
     every ufunc writes into a buffer.  A stack of one column binds 1-D row
     views of every m x n array and 0-d views of the sums, and its products
     are np.dot; a wider stack keeps the m x n rows and the stacked
@@ -272,8 +280,8 @@ class _Stack:
         # _BATCH_ENTRIES coefficients of column history.
         steps = min(batch, max(1, _BATCH_ENTRIES // (m * n)), cap)
         self.cols = np.empty((steps + 2, m, n))
-        self.hcs = np.empty((steps + 1, m, 1))
-        self.cols[0], self.cols[1], self.hcs[0] = carry
+        self.hcs = np.empty((steps + 2, m, 1))
+        self.cols[:2], self.hcs[:2] = carry
         # One column sweeps 1-D rows with 0-d sums through np.dot; more sweep
         # m x n rows with m x 1 sums through the stacked np.matmul.
         if m == 1:
@@ -295,11 +303,11 @@ class _Stack:
         self.sweeps = [
             (c.reshape(row), c.reshape(vec), hc.reshape(total),
              new.reshape(row), new.reshape(vec), hc_new.reshape(out))
-            for c, new, hc, hc_new in zip(cols[1:-1], cols[2:], hcs[:-1], hcs[1:])
+            for c, new, hc, hc_new in zip(cols[1:-1], cols[2:], hcs[1:-1], hcs[2:])
         ]
 
     def run(self, a: np.ndarray, steps: int) -> None:
-        """Sweep steps times from cols[1]: fill cols[2 : steps + 2] and hcs[1 : steps + 1]."""
+        """Sweep steps times from cols[1]: fill cols[2 : steps + 2] and hcs[2 : steps + 2]."""
         diag, hk, hk4, sign2, hck = self.diag, self.hk, self.hk4, self.sign2, self.hck
         gap2, abs_gap, vertex, tie_sign = self.gap2, self.abs_gap, self.vertex, self.tie_sign
         first, second, work, work_out = self.first, self.second, self.work, self.work_out
@@ -375,12 +383,13 @@ def _sweep(
     # arithmetic warnings are suppressed rather than surfaced per sweep.  The
     # vertex roots of tiny couplings in _Stack can overflow too.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # the last two committed columns and their sum_l H[k, l] c[l]; entry
+        # the last two committed columns and their sums_l H[k, l] c[l]; entry
         # k implicitly 1, kept 0.  nan never compares equal, so no column
-        # can match it on the first sweep.  The sum starts at -0.0, as
+        # can match the first one on the first sweep.  The sums are -0.0, as
         # x + -0.0 is x for every x: the first energy is H[k, k] to the bit.
-        shape = (states.size, a.shape[0])
-        carry = np.full(shape, np.nan), np.zeros(shape), np.full((states.size, 1), -0.0)
+        two_cols = np.zeros((2, states.size, a.shape[0]))
+        two_cols[0] = np.nan
+        carry = two_cols, np.full((2, states.size, 1), -0.0)
         st = _Stack(a, states, np.arange(states.size), carry, cap, _BATCH)
         it = ran = 0  # ran: sweeps since the last stop
         long = False
@@ -389,18 +398,28 @@ def _sweep(
             st.run(a, steps)
 
             # The stop rules on every sweep of the batch, one row per sweep.
-            cols, hcs = st.cols[: steps + 2], st.hcs[: steps + 1]
+            cols, hcs = st.cols[: steps + 2], st.hcs[: steps + 2, :, 0]
             news, olds = cols[2:], cols[1:-1]
-            energies = st.ek + hcs[:, :, 0]
+            energies = st.ek + hcs[1:]
             e0, e1 = energies[:-1], energies[1:]
             converged = np.abs(e1 - e0) <= _HALF_TOL * np.abs(e1 + e0)
             if converged.any():
                 hit = np.nonzero(converged)
                 o, w = olds[hit], news[hit]
                 converged[hit] = ~((np.abs(o - w) - _HALF_TOL * np.abs(o + w)) > _NOISE).any(axis=1)
-            cycling = (news == cols[:-2]).all(axis=2)
-            blown = ~(np.abs(news).max(axis=2) <= DIVERGENCE_GUARD)  # nan-safe
-            stop = converged | cycling | blown
+            # Equal columns have equal sums, whichever stack width computed
+            # them, so only those columns are compared whole; so are those
+            # whose sum overflowed to nan, which needs |H[k, l]| near 1e300.
+            cycling = hcs[2:] == hcs[:-2]
+            cycling |= np.isnan(hcs[2:])
+            if cycling.any():
+                hit = np.nonzero(cycling)
+                cycling[hit] = (news[hit] == cols[:-2][hit]).all(axis=1)
+            stop = converged | cycling
+            blown = None
+            if not (-DIVERGENCE_GUARD <= news.min() and news.max() <= DIVERGENCE_GUARD):
+                blown = ~(np.abs(news).max(axis=2) <= DIVERGENCE_GUARD)  # nan-safe
+                stop |= blown
             if it + steps == cap:
                 stop[-1] = True
 
@@ -423,7 +442,7 @@ def _sweep(
                 elif cycling[s, j]:
                     finish(j, news[s, j], e1[s, j], sweep, SolveStatus.ALGORITHM_FAILURE,
                            f"period-2 cycle at sweep {sweep}")
-                elif blown[s, j]:
+                elif blown is not None and blown[s, j]:
                     finish(j, olds[s, j], e0[s, j], sweep, SolveStatus.ALGORITHM_FAILURE,
                            f"coefficient magnitude exceeded {DIVERGENCE_GUARD:.1e}")
                 else:
@@ -432,7 +451,7 @@ def _sweep(
             stopped = done.any()
             ran = 0 if stopped else ran + steps
             if not stopped and (long or ran < _LONG_AFTER):
-                st.cols[:2], st.hcs[0] = cols[-2:], hcs[-1]
+                st.cols[:2], st.hcs[:2, :, 0] = cols[-2:], hcs[-2:]
                 continue
             keep = ~done
             if not keep.any():
@@ -444,6 +463,6 @@ def _sweep(
             # no buffer is held twice.
             long = not stopped
             ks, slots = st.ks[keep], st.slots[keep]
-            carry = cols[-2][keep], cols[-1][keep], hcs[-1][keep]
+            carry = cols[-2:, keep], hcs[-2:, keep, None]
             del st, cols, news, olds
             st = _Stack(a, ks, slots, carry, cap - it, _LONG_BATCH if long else _BATCH)

@@ -79,7 +79,12 @@ class PerturbationSolution:
 
 
 def as_square_matrix(h) -> np.ndarray:
-    """Validate and return h as a square float64 array."""
+    """Validate and return h as a square float64 array.
+
+    A complex h is rejected: converting it would drop its imaginary part.
+    """
+    if np.iscomplexobj(h):
+        raise ValueError("matrix must be real, not complex")
     a = np.asarray(h, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
@@ -115,6 +120,8 @@ def symmetry_defect(h) -> float:
 def residual_norm(h, energy: float, coefficients) -> float:
     """Relative eigenpair defect ||H c - E c|| / ||c||."""
     a = as_square_matrix(h)
+    if np.iscomplexobj(coefficients):
+        raise ValueError("coefficient vector must be real, not complex")
     c = np.asarray(coefficients, dtype=float)
     if c.shape != (a.shape[0],):
         raise DimensionMismatchError(

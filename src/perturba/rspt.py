@@ -9,8 +9,8 @@ accumulated order by order:
     c(a)[l] = (sum_j W[l, j] c(a-1)[j] - sum_b E(b) c(a-b)[l]) / (H[k,k] - H[l,l])
 
 with c(0) the unit vector on k, c(a)[k] = 0 for a >= 1 and the b-sum
-running over 1 .. a-1.  At order a the expansion of state k stops at the
-first of these rules that holds:
+running over 1 .. a-1.  The expansion of state k stops at the first order a
+at which one of these rules holds, and the first rule in this order wins:
 
 1. degenerate: some l != k with H[l, l] == H[k, k] has a nonzero numerator
    (ALGORITHM_FAILURE);
@@ -23,6 +23,21 @@ first of these rules that holds:
 A failure does not accept order a: the result is the sum through order
 a - 1, and the failure carries its reason in detail.
 
+The rules are tested once per batch of 16 orders, not after every order:
+the batch computes all of its orders, the rules are evaluated on every
+order of it at once, and each column stops at its first stopping order.
+The orders a column ran past that point are dropped, so every result, down
+to the bits and the order count, is the one that testing after every order
+gives.  A batch also ends at the cap and at the last allocated history row.
+The running sums through each order are one np.add.accumulate from the
+carried sums, which adds left to right and so rounds as total + c(a) does.
+The degenerate rule reads c(a) on the tied entries, where the gap is
+replaced by 1 and c(a) is the numerator itself.  The guard first compares
+the batch's largest |E(a)| and its largest and smallest correction with
+DIVERGENCE_GUARD, and takes the per-order maxima only when one of them is
+outside or nan.  A column computed past its guard order can overflow; those
+orders are dropped, so their warnings are suppressed.
+
 The target states of one call are expanded together, one coefficient column
 per state, so an order costs three stacked products, for E(a), for W c(a-1)
 and for the b-sum, whatever the number of states.  Columns never mix, and
@@ -31,7 +46,8 @@ rspt_solve(h, k) and rspt_solve_all(h)[k] give the same bits.  The b-sum is
 one matrix-vector product per column that BLAS reads forward: the
 corrections c(1), c(2), ... of a column are contiguous rows, and its energy
 corrections are stored last order first, so that E(a-1), ..., E(1) is a
-contiguous run too.  A column leaves the stack at the order where it stops.
+contiguous run too.  A column leaves the stack at the end of the batch in
+which it stops.
 The history is allocated in chunks that double as orders run, and each
 growth drops the rows of the columns that left, so memory follows the
 columns still running rather than the order cap.
@@ -48,9 +64,14 @@ from .linalg import PerturbationSolution, SolveStatus, as_square_matrix, check_c
 DIVERGENCE_GUARD = 1.0e12
 # Relative convergence tolerance of both solvers' energy and coefficient tests.
 RELATIVE_TOL = 1.0e-10
+# The details of the two failures, rules 1 and 2 below.
+_DEGENERATE = "degenerate diagonal with nonzero coupling"
+_BLOWN = f"correction magnitude exceeded {DIVERGENCE_GUARD:.1e}"
 # Coefficient history rows allocated before the first growth; each growth
 # doubles them, up to max_order + 1.
 _FIRST_ROWS = 64
+# The stop rules are tested once per batch of at most _BATCH orders.
+_BATCH = 16
 # rspt_solve_all stacks at most this many coefficients of full-length
 # history (states * (max_order + 1) * dim), so memory stays bounded when
 # many states of a large matrix run to the cap.
@@ -141,7 +162,7 @@ def _expand(
     total_e = diag[ks].copy()
 
     def finish(j, order, accepted, sum_c, sum_e, status, detail=None) -> None:
-        coefficients = sum_c[j].copy()
+        coefficients = sum_c.copy()
         coefficients[t.ks[j]] = 1.0
         history = None
         if keep_history:
@@ -152,7 +173,7 @@ def _expand(
             history = OrderHistory(energy_corrections=e, coefficient_corrections=c)
         results[slots[j]] = PerturbationSolution(
             state=int(t.ks[j]),
-            energy=float(sum_e[j]),
+            energy=float(sum_e),
             coefficients=coefficients,
             iterations=order,
             status=status,
@@ -160,58 +181,85 @@ def _expand(
             history=history,
         )
 
-    for order in range(1, last + 1):
-        if order == rows:
-            rows = min(2 * rows, last + 1)
-            grown = np.empty((slots.size, rows, n))
-            grown[:, :order] = c_hist[:, :order]
-            c_hist = grown
-        prev = c_hist[:, order - 1, :, None]
-        e = np.matmul(t.wk, prev)[:, 0, 0]
-        rhs = np.matmul(w, prev)[:, :, 0]
-        if order >= 2:
-            rhs -= np.matmul(e_rev[:, None, last - order + 1 :], c_hist[:, 1:order])[:, 0]
-        np.put(rhs, t.own, 0.0)
-        c = c_hist[:, order]
-        np.divide(rhs, t.safe_gap, out=c)
-        e_rev[:, last - order] = e
+    # A column computed past its guard order can overflow; the rules below
+    # read inf and nan as they should, so the warnings are suppressed.
+    start = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            if start == rows:
+                rows = min(2 * rows, last + 1)
+                grown = np.empty((slots.size, rows, n))
+                grown[:, :start] = c_hist[:, :start]
+                c_hist = grown
+            end = min(start + _BATCH - 1, rows - 1, last)
+            for order in range(start, end + 1):
+                prev = c_hist[:, order - 1, :, None]
+                e = np.matmul(t.wk, prev)[:, 0, 0]
+                rhs = np.matmul(w, prev)[:, :, 0]
+                if order >= 2:
+                    rhs -= np.matmul(e_rev[:, None, last - order + 1 :], c_hist[:, 1:order])[:, 0]
+                np.put(rhs, t.own, 0.0)
+                np.divide(rhs, t.safe_gap, out=c_hist[:, order])
+                e_rev[:, last - order] = e
 
-        abs_e, abs_c = np.abs(e), np.abs(c)
-        # fmax skips a nan on one side, as `|E(a)| > guard or max |c(a)| > guard` does
-        blown = np.fmax(abs_e, abs_c.max(axis=1)) > DIVERGENCE_GUARD
-        new_c = total_c + c
-        new_e = total_e + e
-        converged = abs_e <= RELATIVE_TOL * np.abs(new_e)
-        if converged.any():
-            converged &= (abs_c <= RELATIVE_TOL * np.abs(new_c)).all(axis=1)
-        stopped = blown | converged
-        degenerate = None
-        if t.zero_gap is not None:
-            # a column that goes on has zero numerators on its ties, so c(a) is +-0 there
-            degenerate = ((rhs != 0.0) & t.zero_gap).any(axis=1)
-            stopped |= degenerate
-        if order == last or stopped.any():
-            # the first rule that holds wins; rules 1 and 2 reject order a
-            for j in range(t.ks.size):
-                if degenerate is not None and degenerate[j]:
-                    finish(j, order, order - 1, total_c, total_e, SolveStatus.ALGORITHM_FAILURE,
-                           "degenerate diagonal with nonzero coupling")
-                elif blown[j]:
-                    finish(j, order, order - 1, total_c, total_e, SolveStatus.ALGORITHM_FAILURE,
-                           f"correction magnitude exceeded {DIVERGENCE_GUARD:.1e}")
-                elif converged[j]:
-                    finish(j, order, order, new_c, new_e, SolveStatus.CONVERGED)
-                elif order == last:
-                    finish(j, order, order, new_c, new_e, SolveStatus.MAX_ITERATIONS_EXCEEDED)
-            keep = ~stopped
-            if order == last or not keep.any():
-                break
-            slots = slots[keep]
-            t = _Columns(diag, w, t.ks[keep])
-            # compact in place; the rows of the stopped columns are freed at the next growth
-            for i, j in enumerate(np.flatnonzero(keep)):
-                c_hist[i, : order + 1] = c_hist[j, : order + 1]
-            c_hist = c_hist[: slots.size]
-            e_rev, new_c, new_e = e_rev[keep], new_c[keep], new_e[keep]
-        total_c, total_e = new_c, new_e
+            # The rules on every order of the batch, one row per column.
+            # sums[:, i] is the total through order start - 1 + i; accumulate
+            # adds left to right, so each is the previous total + c(a) to the bit.
+            cs = c_hist[:, start : end + 1]
+            es = e_rev[:, last - end : last - start + 1][:, ::-1]
+            sums_c = np.concatenate((total_c[:, None], cs), axis=1)
+            np.add.accumulate(sums_c, axis=1, out=sums_c)
+            sums_e = np.add.accumulate(np.concatenate((total_e[:, None], es), axis=1), axis=1)
+            abs_e = np.abs(es)
+            converged = abs_e <= RELATIVE_TOL * np.abs(sums_e[:, 1:])
+            if converged.any():
+                hit = np.nonzero(converged)
+                small = np.abs(cs[hit]) <= RELATIVE_TOL * np.abs(sums_c[:, 1:][hit])
+                converged[hit] = small.all(axis=1)
+            guard = DIVERGENCE_GUARD
+            if abs_e.max() <= guard and -guard <= cs.min() and cs.max() <= guard:
+                blown = np.zeros_like(converged)
+            else:  # some bound fails or is nan
+                # fmax skips a nan on one side, as `|E(a)| > guard or max |c(a)| > guard` does
+                blown = np.fmax(abs_e, np.abs(cs).max(axis=2)) > guard
+            stop = converged | blown
+            degenerate = None
+            if t.zero_gap is not None:
+                # safe_gap is 1 on the ties, so c(a) is the numerator there
+                degenerate = ((cs != 0.0) & t.zero_gap[:, None]).any(axis=2)
+                stop |= degenerate
+            if end == last:
+                stop[:, -1] = True
+
+            # Each column stops at its first stopping order; later orders are dropped.
+            done = stop.any(axis=1)
+            if done.any():
+                first = stop.argmax(axis=1)
+                for j in np.flatnonzero(done):
+                    o = first[j]
+                    order = start + int(o)
+                    # the first rule that holds wins; rules 1 and 2 reject order a
+                    if degenerate is not None and degenerate[j, o]:
+                        rule = SolveStatus.ALGORITHM_FAILURE, _DEGENERATE
+                    elif blown[j, o]:
+                        rule = SolveStatus.ALGORITHM_FAILURE, _BLOWN
+                    elif converged[j, o]:
+                        rule = SolveStatus.CONVERGED, None
+                    else:
+                        rule = SolveStatus.MAX_ITERATIONS_EXCEEDED, None
+                    accepted = order - (rule[0] is SolveStatus.ALGORITHM_FAILURE)
+                    i = accepted - start + 1
+                    finish(j, order, accepted, sums_c[j, i], sums_e[j, i], *rule)
+                keep = ~done
+                if not keep.any():
+                    break
+                slots = slots[keep]
+                t = _Columns(diag, w, t.ks[keep])
+                # compact in place; the rows of the stopped columns are freed at the next growth
+                for i, j in enumerate(np.flatnonzero(keep)):
+                    c_hist[i, : end + 1] = c_hist[j, : end + 1]
+                c_hist = c_hist[: slots.size]
+                e_rev, sums_c, sums_e = e_rev[keep], sums_c[keep], sums_e[keep]
+            total_c, total_e = sums_c[:, -1], sums_e[:, -1]
+            start = end + 1
     return results

@@ -440,9 +440,9 @@ class TestAgainstReference:
     def test_linear_caps_around_the_batch(self, cap):
         # the cap must land exactly on and beside batch edges: the first
         # short ones, the switch to long batches of the single-state solves
-        # after _LONG_AFTER sweeps, and the first long batch's end; the
-        # guard first stops a state by sweep 33, and at 1000 ten states
-        # converge
+        # after _LONG_AFTER sweeps, and the first long batch's end.  The
+        # guard first stops state 29, at sweep 26, in the middle of a batch
+        # of the 30-column stack, and at 1000 ten states converge
         h = build_linear_true(0.5, 30)
         block = iterate_solve_all(h, max_iterations=cap)
         for k in range(30):
@@ -537,6 +537,47 @@ class TestAgainstReference:
             ref = reference_iterate(h, k, 10000)
             self.assert_same(block[k], ref)
             self.assert_same(iterate_solve(h, k), ref)
+
+    @pytest.mark.parametrize(
+        "w, stop",
+        [
+            (2.0, "period-2 cycle at sweep 70"),
+            (3.0, "period-2 cycle at sweep 248"),
+            (3.3, "period-2 cycle at sweep 708"),
+            (1.0, None),
+        ],
+        ids=["cycle-70", "cycle-248", "cycle-708", "cap"],
+    )
+    def test_energy_sum_that_never_moves(self, w, stop):
+        # Row 0 has no off-diagonal entry and column 0 has three: the energy
+        # sum of state 0 is 0 on every sweep while its column moves, so the
+        # cycle test compares the whole column on every sweep.  The pair 1-2
+        # repeats every two sweeps once state 3, pulled by the slow pair 3-4,
+        # has settled.  States 1-4 converge or pass the guard.
+        h = np.diag([0.0, 1.0, 2.0, 3.0, 4.0])
+        h[1, 0] = h[2, 0] = h[3, 0] = 1.0
+        h[1, 2], h[2, 1] = 2.0, 1.0
+        h[1, 3] = h[2, 3] = 0.5
+        h[3, 4] = h[4, 3] = w
+        block = iterate_solve_all(h, max_iterations=1000)
+        assert block[0].detail == stop
+        for k in range(5):
+            ref = reference_iterate(h, k, 1000)
+            self.assert_same(block[k], ref)
+            self.assert_same(iterate_solve(h, k, max_iterations=1000), ref)
+
+    @pytest.mark.parametrize("seed", [1033, 2451])
+    def test_one_sweep_batches(self, monkeypatch, seed):
+        # a history bound below one column makes every batch one sweep, so
+        # each cycle test reads sums carried over from earlier batches
+        monkeypatch.setattr(iterative, "_BATCH_ENTRIES", 1)
+        h = random_symmetric(seed)
+        block = iterate_solve_all(h, max_iterations=200)
+        assert any(s.detail and s.detail.startswith("period-2 cycle") for s in block)
+        for k in range(h.shape[0]):
+            ref = reference_iterate(h, k, 200)
+            self.assert_same(block[k], ref)
+            self.assert_same(iterate_solve(h, k, max_iterations=200), ref)
 
     def test_zero_diagonal_entry_of_the_target(self):
         # H[k, k] = 0 makes q = 0 and the denominator 0 on the state's own

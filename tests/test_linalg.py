@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perturba import linalg
+from perturba.iterative import iterate_solve, iterate_solve_all
 from perturba.linalg import (
     DimensionMismatchError,
     NoConvergenceError,
@@ -25,6 +26,7 @@ from perturba.linalg import (
     symmetry_defect,
     write_matrix_text,
 )
+from perturba.rspt import rspt_solve, rspt_solve_all
 
 
 def random_symmetric(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
@@ -223,3 +225,21 @@ class TestAsSquareMatrix:
     def test_rejects_vector(self):
         with pytest.raises(DimensionMismatchError):
             as_square_matrix([1.0, 2.0])
+
+    def test_rejects_complex_input(self):
+        # a float conversion keeps only the real part: iterate_solve took
+        # this matrix as [[1, .1], [.1, 2]] and returned 0.990098...
+        h = np.array([[1.0 + 1e-3j, 0.1], [0.1, 2.0]])
+        for call in (
+            lambda: iterate_solve(h, 0),
+            lambda: iterate_solve_all(h),
+            lambda: rspt_solve(h, 0),
+            lambda: rspt_solve_all(h),
+            lambda: jacobi_diagonalize(h),
+            lambda: residual_norm(h, 1.0, [1.0, 0.0]),
+            lambda: as_square_matrix(h.tolist()),
+        ):
+            with pytest.raises(ValueError, match="matrix must be real, not complex"):
+                call()
+        with pytest.raises(ValueError, match="coefficient vector must be real, not complex"):
+            residual_norm(h.real, 1.0, np.array([1.0, 1e-3j]))

@@ -198,6 +198,35 @@ class TestSolveAll:
 DEGENERATE_LADDER = np.diag([0.0, 1.0, 2.0, 2.0, 4.0]) + 0.01 * (np.ones((5, 5)) - np.eye(5))
 
 
+def batch_edge_blocks() -> tuple[np.ndarray, list[int]]:
+    """Uncoupled blocks whose first states stop on the edges of the 16-order batches.
+
+    Blocks 0-5 are [[0, g], [g, 1]]: their state 0 converges at order 17, 8
+    and 16 for g = 0.126, 0.053 and 0.213 and passes the guard at order 8, 16
+    and 17 for g = 25.87, 3.86 and 3.32.  Blocks 6-8 are paths of 8, 16 and 17
+    couplings 0.5 whose two ends tie, degenerate at the order of their
+    length.  Block j sits on the diagonal offset 100 j, so no two blocks tie;
+    the energy test is relative, so the offsets of the converging blocks
+    count.  Returns the matrix and the first state of each block.
+    """
+    blocks = [np.array([[0.0, g], [g, 1.0]]) for g in (0.126, 25.87, 3.86, 3.32, 0.053, 0.213)]
+    for length in (8, 16, 17):
+        path = np.diag(np.r_[0.0, np.arange(1.0, length), 0.0])
+        i = np.arange(length)
+        path[i, i + 1] = path[i + 1, i] = 0.5
+        blocks.append(path)
+    n = sum(b.shape[0] for b in blocks)
+    h = np.zeros((n, n))
+    firsts = []
+    at = 0
+    for j, b in enumerate(blocks):
+        m = b.shape[0]
+        h[at : at + m, at : at + m] = b + 100.0 * j * np.eye(m)
+        firsts.append(at)
+        at += m
+    return h, firsts
+
+
 class TestAgainstReference:
     """The stacked expansion against the one-state reference of tests/helpers.
 
@@ -214,14 +243,32 @@ class TestAgainstReference:
         assert sol.energy == pytest.approx(energy, rel=1e-12, abs=0.0)
         np.testing.assert_allclose(sol.coefficients, coefficients, rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("cap", [1, 2, 444, 1000])
+    @staticmethod
+    def assert_same_bits(one, stacked):
+        assert (one.status, one.iterations, one.detail) == (
+            stacked.status, stacked.iterations, stacked.detail
+        )
+        assert np.float64(one.energy).tobytes() == np.float64(stacked.energy).tobytes()
+        assert one.coefficients.tobytes() == stacked.coefficients.tobytes()
+
+    BATCH = rspt._BATCH
+    ROWS = rspt._FIRST_ROWS
+
+    @pytest.mark.parametrize(
+        "cap", [1, 2, BATCH - 1, BATCH, BATCH + 1, ROWS - 1, ROWS, ROWS + 1, 444, 1000]
+    )
     def test_linear_caps(self, cap):
         # state 10 converges at order 444 and state 11 runs to the 1000 cap;
-        # states 12-29 end at the guard, state 12 at order 721
+        # states 12-29 end at the guard, state 12 at order 721.  The rules
+        # are tested once per batch of _BATCH orders, and a batch also ends
+        # at the last history row, 63.  Every state is capped at 15-17; by
+        # cap 63, states converge at order 49, the first of a batch, and at
+        # 63, its last
         h = build_linear_true(0.5, 30)
         sols = rspt_solve_all(h, max_order=cap)
         for k, sol in enumerate(sols):
             self.assert_matches(sol, reference_rspt(h, k, cap))
+            self.assert_same_bits(rspt_solve(h, k, max_order=cap), sol)
         assert all(s.history is None for s in sols)
         statuses = {s.status for s in sols}
         assert SolveStatus.MAX_ITERATIONS_EXCEEDED in statuses
@@ -247,12 +294,57 @@ class TestAgainstReference:
         stacked = rspt_solve_all(h)
         for k, s in enumerate(stacked):
             one = rspt_solve(h, k, keep_history=True)
-            assert (one.status, one.iterations, one.detail) == (s.status, s.iterations, s.detail)
-            assert np.float64(one.energy).tobytes() == np.float64(s.energy).tobytes()
-            assert one.coefficients.tobytes() == s.coefficients.tobytes()
+            self.assert_same_bits(one, s)
             ref = reference_rspt(h, k, 1000)
             np.testing.assert_array_equal(one.history.energy_corrections, ref[5])
             np.testing.assert_array_equal(one.history.coefficient_corrections, ref[6])
+
+    def test_rules_on_the_batch_edges(self):
+        # each rule fires on the first (17), a middle (8) and the last (16)
+        # order of a batch, while the stack's other columns run on
+        h, firsts = batch_edge_blocks()
+        stacked = rspt_solve_all(h, max_order=100)
+        stops = [(s.status.value, s.detail, s.iterations) for s in (stacked[k] for k in firsts)]
+        converged = ("converged", None)
+        guard = ("algorithm_failure", f"correction magnitude exceeded {DIVERGENCE_GUARD:.1e}")
+        degenerate = ("algorithm_failure", "degenerate diagonal with nonzero coupling")
+        assert stops == [
+            (*converged, 17), (*guard, 8), (*guard, 16), (*guard, 17), (*converged, 8),
+            (*converged, 16), (*degenerate, 8), (*degenerate, 16), (*degenerate, 17),
+        ]
+        for k, sol in enumerate(stacked):
+            ref = reference_rspt(h, k, 100)
+            self.assert_matches(sol, ref)
+            one = rspt_solve(h, k, max_order=100, keep_history=True)
+            self.assert_same_bits(one, sol)
+            np.testing.assert_array_equal(one.history.energy_corrections, ref[5])
+            np.testing.assert_array_equal(one.history.coefficient_corrections, ref[6])
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+    def test_guard_on_a_coefficient_alone(self, sign):
+        # state 0 couples weakly to a divergent pair, so at order 48, the
+        # last of a batch, one of its corrections passes the guard while
+        # |E(48)| stays inside; the sign of the weak coupling is its sign
+        w = sign * 1e-3
+        h = np.array([[0.0, w, 0.0], [w, 1.0, 2.98], [0.0, 2.98, 2.0]])
+        stacked = rspt_solve_all(h)
+        assert (stacked[0].iterations, stacked[0].detail) == (
+            48, f"correction magnitude exceeded {DIVERGENCE_GUARD:.1e}"
+        )
+        for k, sol in enumerate(stacked):
+            self.assert_matches(sol, reference_rspt(h, k, 1000))
+            self.assert_same_bits(rspt_solve(h, k), sol)
+
+    def test_overflow_past_the_guard_is_silent(self):
+        # both states pass the guard at order 1, and their batch goes on to
+        # orders 2-16, whose corrections overflow to inf and then nan; the
+        # suite turns a RuntimeWarning into an error
+        h = np.array([[0.0, 1e100], [1e100, 1.0]])
+        guard = f"correction magnitude exceeded {DIVERGENCE_GUARD:.1e}"
+        for k, sol in enumerate(rspt_solve_all(h)):
+            assert (sol.iterations, sol.detail) == (1, guard)
+            self.assert_matches(sol, reference_rspt(h, k, 1000))
+            self.assert_same_bits(rspt_solve(h, k), sol)
 
     def test_split_stacks_give_the_same_bits(self, monkeypatch):
         # a bound of one state's full history splits the linear run into 30 stacks
@@ -260,9 +352,7 @@ class TestAgainstReference:
         whole = rspt_solve_all(h)
         monkeypatch.setattr(rspt, "_STACK_ENTRIES", 30 * 1001)
         for a, b in zip(whole, rspt_solve_all(h), strict=True):
-            assert (a.status, a.iterations, a.detail) == (b.status, b.iterations, b.detail)
-            assert a.coefficients.tobytes() == b.coefficients.tobytes()
-            assert np.float64(a.energy).tobytes() == np.float64(b.energy).tobytes()
+            self.assert_same_bits(a, b)
 
     def test_empty_matrix(self):
         assert rspt_solve_all(np.zeros((0, 0))) == []
