@@ -8,13 +8,11 @@ oscillator matrix elements and run harness used to exercise them.
 
 from .linalg import (
     DimensionMismatchError,
-    EigenSolution,
     NoConvergenceError,
     NonSymmetricError,
     PerturbationSolution,
     SolveStatus,
     jacobi_diagonalize,
-    read_matrix_text,
     residual_norm,
     symmetry_defect,
     write_matrix_text,
@@ -24,7 +22,6 @@ from .oscillator import (
     IndexOutOfRangeError,
     build_element_table,
     cached_element_table,
-    wavefunction_value,
     write_table_csv,
 )
 from .rspt import OrderHistory, rspt_solve, rspt_solve_all
@@ -33,7 +30,6 @@ from .hamiltonians import (
     BasisMap2D,
     FgReport,
     StructureViolationError,
-    a2_from_quantum_number,
     build_2d_synthetic,
     build_2d_true,
     build_linear_synthetic,

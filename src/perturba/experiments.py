@@ -59,10 +59,19 @@ class UnsupportedProblemError(ValueError):
     pass
 
 
+def _check_levels(*ns) -> None:
+    """Raise ValueError unless every quantum number is a non-negative integer.
+
+    The rule the solvers apply to state: a float or a bool names no level.
+    """
+    for n in ns:
+        if not is_count(n) or n < 0:
+            raise ValueError(f"quantum number {n!r} must be a non-negative integer")
+
+
 def exact_linear_energy(n: int, beta: float) -> float:
     """Exact level of the linearly displaced oscillator."""
-    if n < 0:
-        raise ValueError("quantum number must be non-negative")
+    _check_levels(n)
     return (n + 0.5) - 0.5 * beta * beta
 
 
@@ -72,8 +81,7 @@ def exact_2d_energy(n1: int, n2: int, beta: float) -> float:
     The coupling rotates into normal modes with frequencies sqrt(1 + beta)
     and sqrt(1 - beta); beta above 1 has no bound spectrum.
     """
-    if n1 < 0 or n2 < 0:
-        raise ValueError("quantum numbers must be non-negative")
+    _check_levels(n1, n2)
     if not 0.0 <= beta <= 1.0:
         raise BetaOutOfRangeError(f"beta {beta} outside [0, 1]")
     return math.sqrt(1.0 + beta) * (n1 + 0.5) + math.sqrt(1.0 - beta) * (n2 + 0.5)
@@ -107,8 +115,7 @@ def quartic_reference_energy(n: int, beta: float) -> float:
 
     Raises NotTabulatedError off the beta grid or where no entry exists.
     """
-    if n < 0:
-        raise ValueError("quantum number must be non-negative")
+    _check_levels(n)
     for key, row in QUARTIC_BENCHMARK.items():
         if abs(key - beta) <= 1.0e-9:
             if n < len(row) and row[n] is not None:
@@ -207,16 +214,16 @@ def run_instance(instance: ProblemInstance) -> RunResult:
     """Build, solve and package one benchmark run."""
     h = build_instance_matrix(instance)
     if instance.method == "oracle":
-        sol = jacobi_diagonalize(h)
+        eigenvalues, eigenvectors = jacobi_diagonalize(h)
         solutions = [
             PerturbationSolution(
                 state=i,
                 energy=float(lam),
-                coefficients=sol.eigenvectors[:, i],
+                coefficients=eigenvectors[:, i],
                 iterations=0,
                 status=SolveStatus.CONVERGED,
             )
-            for i, lam in enumerate(sol.eigenvalues)
+            for i, lam in enumerate(eigenvalues)
         ]
     else:
         solve_all = rspt_solve_all if instance.method == "rspt" else iterate_solve_all
@@ -303,11 +310,16 @@ def backtransform_wavefunction(instance: ProblemInstance, solution, grid) -> np.
     Applies exp(-S) to the basis expansion and normalizes to unit trapezoid
     norm on the grid; an untransformed instance needs no reweighting.  Only
     the 1-D problems have a coordinate representation here: osc2d raises
-    UnsupportedProblemError, transformed or not.
+    UnsupportedProblemError, transformed or not.  The grid must be 1-D,
+    finite and strictly increasing, with at least 2 points, or ValueError
+    is raised before anything is computed.
     """
     if instance.problem == "osc2d":
         raise UnsupportedProblemError("osc2d has no single-coordinate wavefunction")
     x = np.asarray(grid, dtype=float)
+    # isfinite first: a diff across inf would warn before the check fails
+    if x.ndim != 1 or x.size < 2 or not np.all(np.isfinite(x)) or not np.all(np.diff(x) > 0):
+        raise ValueError("grid must be a finite, strictly increasing 1-D array of 2+ points")
     c = np.asarray(solution.coefficients, dtype=float)
     psi = wavefunction_rows(c.size - 1, x)
     wave = c @ psi

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oscillator import ElementTable, cached_element_table
+from .oscillator import cached_element_table
 
 
 # verify_fg_structure's bounds on the F/G symmetry defects and on the
@@ -104,24 +104,6 @@ def build_quartic_synthetic(beta: float, a2: float, dim: int) -> np.ndarray:
     x2 = cached_element_table("xi2", dim - 1).values
     l3 = cached_element_table("lambda_xi3", dim - 1).values
     return np.diag(idx + 0.5) - (2.0 * a2 + nm) * a2 * x2 - (6.0 * a2 + nm) * a3 * l3
-
-
-def a2_from_quantum_number(n: int, lxi3: ElementTable) -> float:
-    """Per-state quadratic transform coefficient.
-
-    Balances the second moment of the state's |xi|^3 couplings:
-    a2^2 = sum_m (m - n)^2 v(n, m)^2 / (36 sum_m v(n, m)^2), negative root.
-    """
-    if n < 0 or n > lxi3.max_n:
-        raise ValueError(f"state {n} outside table range 0..{lxi3.max_n}")
-    row = lxi3.values[n].copy()
-    row[n] = 0.0
-    m = np.arange(lxi3.max_n + 1)
-    num = float(np.sum((m - n) ** 2 * row**2))
-    den = 36.0 * float(np.sum(row**2))
-    if den == 0.0:
-        raise ValueError("state has no off-diagonal |xi|^3 couplings")
-    return -math.sqrt(num / den)
 
 
 @dataclass(frozen=True)

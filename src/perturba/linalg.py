@@ -1,10 +1,12 @@
 """Dense symmetric eigensolver and matrix utilities.
 
 The Jacobi diagonalizer here is the backend of `perturba ... --method
-oracle` and nothing else; its own tests cross-check it against an inertia
-bisection that shares no code with it.  The tests that need exact
-eigenvalues as a reference for the perturbation solvers read LAPACK
-(np.linalg.eigvalsh) instead.
+oracle` and nothing else.  It returns (eigenvalues, eigenvectors) in the
+shape np.linalg.eigh does; its own tests cross-check it against an inertia
+bisection that shares no code with it, and against eigh.  The tests that
+need exact eigenvalues as a reference for the perturbation solvers read
+LAPACK (np.linalg.eigvalsh) instead.  write_matrix_text is the writer of
+the plain-text matrix dump of `perturba matrix`.
 """
 
 from __future__ import annotations
@@ -37,18 +39,6 @@ class NoConvergenceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class EigenSolution:
-    """Full spectrum of a symmetric matrix.
-
-    eigenvalues are ascending; eigenvectors[:, i] belongs to eigenvalues[i]
-    and the columns are orthonormal.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-@dataclass(frozen=True)
 class PerturbationSolution:
     """Single-state result from either perturbation solver.
 
@@ -56,9 +46,7 @@ class PerturbationSolution:
     fixed at 1.  When iterate_solve rotated the state's tied diagonal group
     (see iterative), the vector is scaled so that the rotated target vector
     has weight 1 and coefficients[state] can be anything, even near 0.
-    normalized_coefficients is derived: the same vector scaled to unit
-    length.  detail carries a short failure reason when status is not
-    CONVERGED.
+    detail carries a short failure reason when status is not CONVERGED.
     """
 
     state: int
@@ -72,10 +60,6 @@ class PerturbationSolution:
     @property
     def converged(self) -> bool:
         return self.status is SolveStatus.CONVERGED
-
-    @property
-    def normalized_coefficients(self) -> np.ndarray:
-        return self.coefficients / np.linalg.norm(self.coefficients)
 
 
 def as_square_matrix(h) -> np.ndarray:
@@ -142,8 +126,12 @@ _MAX_SWEEPS = 50
 _SYMMETRY_TOL = 1.0e-12
 
 
-def jacobi_diagonalize(h) -> EigenSolution:
+def jacobi_diagonalize(h) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize a symmetric matrix by cyclic Jacobi rotations.
+
+    Returns (eigenvalues, eigenvectors) as np.linalg.eigh does: the
+    eigenvalues ascending, and eigenvectors[:, i], orthonormal columns,
+    belonging to eigenvalues[i].
 
     Sweeps run over all (p, q) pairs in row order; a rotation is skipped when
     the target entry is already negligible against the diagonal. Iteration
@@ -162,7 +150,7 @@ def jacobi_diagonalize(h) -> EigenSolution:
         )
     v = np.eye(n)
     if n < 2:
-        return EigenSolution(eigenvalues=np.diag(a).copy(), eigenvectors=v)
+        return np.diag(a).copy(), v
 
     target = _JACOBI_TOL * max(float(np.linalg.norm(a)), 1.0)
 
@@ -208,7 +196,7 @@ def jacobi_diagonalize(h) -> EigenSolution:
 
     eigenvalues = np.diag(a).copy()
     order = np.argsort(eigenvalues, kind="stable")
-    return EigenSolution(eigenvalues=eigenvalues[order], eigenvectors=v[:, order])
+    return eigenvalues[order], v[:, order]
 
 
 def write_matrix_text(h, stream) -> None:
@@ -222,20 +210,3 @@ def write_matrix_text(h, stream) -> None:
     for row in a:
         stream.write(" ".join(f"{x:.17g}" for x in row) + "\n")
 
-
-def read_matrix_text(stream) -> np.ndarray:
-    """Inverse of write_matrix_text."""
-    first = stream.readline()
-    if not first:
-        raise ValueError("empty matrix stream")
-    n = int(first.strip())
-    rows = []
-    for i in range(n):
-        line = stream.readline()
-        if not line:
-            raise ValueError(f"expected {n} rows, stream ended after {i}")
-        row = [float(tok) for tok in line.split()]
-        if len(row) != n:
-            raise DimensionMismatchError(f"row {i} has {len(row)} entries, expected {n}")
-        rows.append(row)
-    return np.array(rows, dtype=float)

@@ -64,18 +64,6 @@ def _panel_nodes(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def wavefunction_value(n: int, xi):
-    """Normalized oscillator wavefunction psi_n evaluated at xi.
-
-    xi may be a scalar, giving a float, or an array of any shape, giving an
-    array of the same shape.
-    """
-    value = wavefunction_rows(n, xi)[n]
-    if np.ndim(xi) == 0:
-        return float(value)
-    return value
-
-
 def wavefunction_rows(n_max: int, xi) -> np.ndarray:
     """All wavefunctions 0..n_max at the points xi, one per leading index.
 

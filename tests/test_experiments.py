@@ -101,6 +101,24 @@ class TestQuarticReference:
             quartic_reference_energy(-1, 0.5)
 
 
+@pytest.mark.parametrize(
+    "reference, args",
+    [
+        (exact_linear_energy, (1.5, 0.5)),
+        (exact_linear_energy, (True, 0.5)),
+        (exact_2d_energy, (0.5, 0, 0.4)),
+        (exact_2d_energy, (0, False, 0.4)),
+        (quartic_reference_energy, (1.0, 0.5)),
+        (quartic_reference_energy, (np.float64(2.0), 0.5)),
+    ],
+)
+def test_reference_rejects_a_quantum_number_that_names_no_level(reference, args):
+    # unchecked, 1.5 gave 1.875, (0.5, 0) gave 1.5705..., True counted as 1
+    # and the quartic table failed on a float index with a bare TypeError
+    with pytest.raises(ValueError, match="non-negative"):
+        reference(*args)
+
+
 class TestProblemInstance:
     def test_constants(self):
         assert PROBLEMS == ("linear", "quartic", "osc2d")
@@ -431,6 +449,27 @@ class TestBacktransform:
             sol = iterate_solve(build_instance_matrix(inst), 3)
             with pytest.raises(UnsupportedProblemError):
                 backtransform_wavefunction(inst, sol, self.GRID)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            [np.nan, 0.0, 1.0],
+            [np.inf, 0.0],
+            np.linspace(3.0, -3.0, 7),
+            np.linspace(-3.0, 3.0, 50).reshape(5, 10),
+            [0.0],
+        ],
+        ids=["nan", "inf", "descending", "2-d", "one-point"],
+    )
+    def test_rejects_a_bad_grid(self, grid):
+        # unchecked, these gave nan, a RuntimeWarning and nan, a math domain
+        # error, a matmul error and "wavefunction vanished"
+        from perturba.iterative import iterate_solve
+
+        inst = ProblemInstance(problem="linear", beta=0.5, dim=10, method="iter")
+        sol = iterate_solve(build_linear_true(0.5, 10), 0)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            backtransform_wavefunction(inst, sol, grid)
 
     def test_wavefunction_rows_shape(self):
         rows = wavefunction_rows(3, self.GRID)

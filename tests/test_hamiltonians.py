@@ -10,7 +10,6 @@ from perturba.experiments import ProblemInstance, build_instance_matrix
 from perturba.hamiltonians import (
     BasisMap2D,
     StructureViolationError,
-    a2_from_quantum_number,
     build_2d_synthetic,
     build_2d_true,
     build_linear_synthetic,
@@ -122,25 +121,6 @@ class TestQuarticBuilders:
         assert default_quartic_a2(0.5) == -0.35
         assert default_quartic_a2(0.55) == -0.375
         assert default_quartic_a2(1.6) == -0.375
-
-    def test_per_state_a2_matches_documented_formula(self):
-        lxi3 = cached_element_table("lambda_xi3", 40)
-        for n in (0, 5, 20):
-            row = lxi3.values[n].copy()
-            row[n] = 0.0
-            m = np.arange(41)
-            expected = -math.sqrt(
-                float(np.sum((m - n) ** 2 * row**2))
-                / (36.0 * float(np.sum(row**2)))
-            )
-            got = a2_from_quantum_number(n, lxi3)
-            assert got == pytest.approx(expected, rel=1e-14)
-            assert -1.0 < got < 0.0
-
-    def test_per_state_a2_range_check(self):
-        lxi3 = cached_element_table("lambda_xi3", 10)
-        with pytest.raises(ValueError):
-            a2_from_quantum_number(11, lxi3)
 
     def test_transform_preserves_low_spectrum(self):
         beta, dim = 1.0, 60

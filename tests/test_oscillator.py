@@ -33,25 +33,24 @@ from perturba.oscillator import (
     build_element_table,
     cached_element_table,
     wavefunction_rows,
-    wavefunction_value,
     write_table_csv,
 )
 
 
 class TestWavefunctions:
     def test_ground_state_value(self):
-        assert wavefunction_value(0, 0.0) == pytest.approx(math.pi ** -0.25, rel=1e-14)
+        assert wavefunction_rows(0, 0.0)[0] == pytest.approx(math.pi ** -0.25, rel=1e-14)
 
     def test_second_excited_closed_form(self):
         # (4 xi^2 - 2) * pi^(-1/4) / sqrt(8) * exp(-xi^2/2) at xi = 1
         expected = 2.0 * math.pi ** -0.25 / math.sqrt(8.0) * math.exp(-0.5)
-        assert wavefunction_value(2, 1.0) == pytest.approx(expected, rel=1e-13)
+        assert wavefunction_rows(2, 1.0)[2] == pytest.approx(expected, rel=1e-13)
 
     def test_parity(self):
         xs = np.linspace(-3.0, 3.0, 7)
         for n in (0, 1, 4, 7):
-            left = wavefunction_value(n, -xs)
-            right = wavefunction_value(n, xs)
+            left = wavefunction_rows(n, -xs)[n]
+            right = wavefunction_rows(n, xs)[n]
             assert np.allclose(left, (-1.0) ** n * right, atol=1e-14)
 
     def test_rows_match_scalar(self):
@@ -59,14 +58,14 @@ class TestWavefunctions:
         rows = wavefunction_rows(5, xs)
         assert rows.shape == (6, 9)
         for n in range(6):
-            assert np.allclose(rows[n], wavefunction_value(n, xs), atol=1e-14)
+            assert np.allclose(rows[n], wavefunction_rows(n, xs)[n], atol=1e-14)
 
     def test_grid_keeps_shape(self):
         grid = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
         for n in (0, 1, 5):
-            values = wavefunction_value(n, grid)
+            values = wavefunction_rows(n, grid)[n]
             assert values.shape == (3, 4)
-            expected = [[wavefunction_value(n, float(x)) for x in row] for row in grid]
+            expected = [[wavefunction_rows(n, float(x))[n] for x in row] for row in grid]
             assert np.allclose(values, expected, atol=1e-14)
 
     def test_orthonormality_by_quadrature(self):
