@@ -18,7 +18,6 @@ from .linalg import (
     write_matrix_text,
 )
 from .oscillator import (
-    ElementTable,
     IndexOutOfRangeError,
     build_element_table,
     cached_element_table,
@@ -27,7 +26,6 @@ from .oscillator import (
 from .rspt import OrderHistory, rspt_solve, rspt_solve_all
 from .iterative import iterate_solve, iterate_solve_all
 from .hamiltonians import (
-    BasisMap2D,
     FgReport,
     StructureViolationError,
     build_2d_synthetic,
@@ -39,6 +37,7 @@ from .hamiltonians import (
     build_synthetic,
     default_quartic_a2,
     quartic_a3,
+    triangular_pairs,
     verify_fg_structure,
 )
 from .experiments import (

@@ -25,15 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonians import (
-    BasisMap2D,
     build_2d_true,
     build_linear_true,
     build_quartic_true,
     build_synthetic,
     quartic_a3,
+    triangular_pairs,
 )
 from .iterative import iterate_solve_all
 from .linalg import (
+    DimensionMismatchError,
     PerturbationSolution,
     SolveStatus,
     is_count,
@@ -278,7 +279,7 @@ def write_results_csv(results, stream) -> None:
         inst = result.instance
         label = transform_label(inst)
         if include_exact_2d:
-            pairs = BasisMap2D.triangular(inst.dim).pairs
+            n1, n2 = triangular_pairs(inst.dim)
         for row in result.rows:
             energy = row.energy if row.status is SolveStatus.CONVERGED else math.nan
             record = [
@@ -294,8 +295,8 @@ def write_results_csv(results, stream) -> None:
                 f"{row.residual:.17g}",
             ]
             if include_exact_2d:
-                n1, n2 = pairs[row.state]
-                record += [n1, n2, f"{exact_2d_energy(n1, n2, inst.beta):.17g}"]
+                pair = int(n1[row.state]), int(n2[row.state])
+                record += [*pair, f"{exact_2d_energy(*pair, inst.beta):.17g}"]
             writer.writerow(record)
 
 
@@ -310,17 +311,23 @@ def backtransform_wavefunction(instance: ProblemInstance, solution, grid) -> np.
     Applies exp(-S) to the basis expansion and normalizes to unit trapezoid
     norm on the grid; an untransformed instance needs no reweighting.  Only
     the 1-D problems have a coordinate representation here: osc2d raises
-    UnsupportedProblemError, transformed or not.  The grid must be 1-D,
-    finite and strictly increasing, with at least 2 points, or ValueError
-    is raised before anything is computed.
+    UnsupportedProblemError, transformed or not.  A complex grid or
+    solution, or a grid that is not 1-D, finite and strictly increasing with
+    at least 2 points, raises ValueError, and a solution with other than
+    instance.dim coefficients DimensionMismatchError, before anything is
+    computed.
     """
     if instance.problem == "osc2d":
         raise UnsupportedProblemError("osc2d has no single-coordinate wavefunction")
+    if np.iscomplexobj(grid) or np.iscomplexobj(solution.coefficients):
+        raise ValueError("grid and coefficients must be real, not complex")
     x = np.asarray(grid, dtype=float)
     # isfinite first: a diff across inf would warn before the check fails
     if x.ndim != 1 or x.size < 2 or not np.all(np.isfinite(x)) or not np.all(np.diff(x) > 0):
         raise ValueError("grid must be a finite, strictly increasing 1-D array of 2+ points")
     c = np.asarray(solution.coefficients, dtype=float)
+    if c.shape != (instance.dim,):
+        raise DimensionMismatchError(f"solution of shape {c.shape} does not fit dim {instance.dim}")
     psi = wavefunction_rows(c.size - 1, x)
     wave = c @ psi
     a = instance.transform

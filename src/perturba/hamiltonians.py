@@ -57,7 +57,7 @@ def build_linear_true(beta: float, dim: int) -> np.ndarray:
     """H0 + beta * xi on dim states: diagonal n + 1/2, single coupling band."""
     if dim < 1:
         raise ValueError("dim must be positive")
-    xi = cached_element_table("xi", dim - 1).values
+    xi = cached_element_table("xi", dim - 1)
     return np.diag(np.arange(dim) + 0.5) + beta * xi
 
 
@@ -70,7 +70,7 @@ def build_linear_synthetic(beta: float, a: float, dim: int) -> np.ndarray:
     """
     if dim < 1:
         raise ValueError("dim must be positive")
-    xi = cached_element_table("xi", dim - 1).values
+    xi = cached_element_table("xi", dim - 1)
     diag = np.diag(np.arange(dim) + 0.5 - 0.5 * a * a)
     return diag + (beta + a) * np.triu(xi) + (beta - a) * np.tril(xi)
 
@@ -79,7 +79,7 @@ def build_quartic_true(beta: float, dim: int) -> np.ndarray:
     """H0 + beta * xi^4 on dim states; bands at |n - m| in {0, 2, 4}."""
     if dim < 1:
         raise ValueError("dim must be positive")
-    xi4 = cached_element_table("xi4", dim - 1).values
+    xi4 = cached_element_table("xi4", dim - 1)
     return np.diag(np.arange(dim) + 0.5) + beta * xi4
 
 
@@ -101,53 +101,28 @@ def build_quartic_synthetic(beta: float, a2: float, dim: int) -> np.ndarray:
     a3 = quartic_a3(beta)
     idx = np.arange(dim)
     nm = idx[:, None] - idx[None, :]
-    x2 = cached_element_table("xi2", dim - 1).values
-    l3 = cached_element_table("lambda_xi3", dim - 1).values
+    x2 = cached_element_table("xi2", dim - 1)
+    l3 = cached_element_table("lambda_xi3", dim - 1)
     return np.diag(idx + 0.5) - (2.0 * a2 + nm) * a2 * x2 - (6.0 * a2 + nm) * a3 * l3
 
 
-@dataclass(frozen=True)
-class BasisMap2D:
-    """Ordered product basis for two oscillators under a triangular cut.
+def triangular_pairs(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Quantum numbers n1 and n2 of the 2-D product basis under a triangular cut.
 
     Keeps every pair with n1 + n2 <= n_max, ordered by total quanta and then
     by n1, so the unperturbed energies n1 + n2 + 1 are non-decreasing.
     """
-
-    n_max: int
-    pairs: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def triangular(cls, n_max: int) -> "BasisMap2D":
-        if n_max < 0:
-            raise ValueError("n_max must be non-negative")
-        pairs = tuple(
-            (n1, total - n1)
-            for total in range(n_max + 1)
-            for n1 in range(total + 1)
-        )
-        return cls(n_max=n_max, pairs=pairs)
-
-    @property
-    def size(self) -> int:
-        return len(self.pairs)
-
-    def index(self, n1: int, n2: int) -> int:
-        if n1 < 0 or n2 < 0 or n1 + n2 > self.n_max:
-            raise ValueError(f"({n1}, {n2}) outside the triangular cut {self.n_max}")
-        return _pair_index(n1, n2)
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
+    total = np.repeat(np.arange(n_max + 1), np.arange(1, n_max + 2))
+    n1 = np.arange(total.size) - total * (total + 1) // 2
+    return n1, total - n1
 
 
 def _pair_index(n1, n2):
     """Position of the pair (n1, n2) in the triangular basis; ints or arrays."""
     total = n1 + n2
     return total * (total + 1) // 2 + n1
-
-
-def _pair_arrays(n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Quantum numbers n1 and n2 of the triangular basis, in basis order."""
-    arr = np.array(BasisMap2D.triangular(n_max).pairs)
-    return arr[:, 0], arr[:, 1]
 
 
 def _offsets(table: np.ndarray) -> list[int]:
@@ -171,7 +146,7 @@ def _assemble_2d(
     every term is added, never assigned, so a -0.0 term leaves an entry at
     +0.0, as the dense sum does.  The bands hold at most 9 entries per row.
     """
-    n1, n2 = _pair_arrays(n_max)
+    n1, n2 = triangular_pairs(n_max)
     if out is None:
         out = np.zeros((n1.size, n1.size))
     if h0:
@@ -184,14 +159,14 @@ def _assemble_2d(
         return i, _pair_index(m1[i], m2[i]), n1[i], n2[i], m1[i], m2[i]
 
     if coupling is not None:
-        xi = cached_element_table("xi", n_max).values
+        xi = cached_element_table("xi", n_max)
         offsets = _offsets(xi)
         for d1 in offsets:
             for d2 in offsets:
                 i, j, a1, a2, b1, b2 = band(d1, d2)
                 out[i, j] += (coupling(d1 + d2) * xi[a1, b1]) * xi[a2, b2]
     if g is not None:
-        x2 = cached_element_table("xi2", n_max).values
+        x2 = cached_element_table("xi2", n_max)
         offsets = _offsets(x2)
         pairs = [(d, 0) for d in offsets] + [(0, d) for d in offsets if d != 0]
         for d1, d2 in pairs:
@@ -234,7 +209,7 @@ def _transform_f_g(
     if problem == "linear":
         h = build_linear_true(beta, dim)
         e0 = np.arange(dim) + 0.5
-        s = a * cached_element_table("xi", dim - 1).values[:dim, :dim]
+        s = a * cached_element_table("xi", dim - 1)[:dim, :dim]
         f = (e0[None, :] - e0[:, None]) * s
         g = 0.5 * a**2 * np.eye(dim)
         return h, f, g
@@ -242,14 +217,14 @@ def _transform_f_g(
         a3 = quartic_a3(beta)
         h = build_quartic_true(beta, dim)
         e0 = np.arange(dim) + 0.5
-        x2 = cached_element_table("xi2", dim - 1).values[:dim, :dim]
-        x4 = cached_element_table("xi4", dim - 1).values[:dim, :dim]
-        l3 = cached_element_table("lambda_xi3", dim - 1).values[:dim, :dim]
+        x2 = cached_element_table("xi2", dim - 1)[:dim, :dim]
+        x4 = cached_element_table("xi4", dim - 1)[:dim, :dim]
+        l3 = cached_element_table("lambda_xi3", dim - 1)[:dim, :dim]
         s = a * x2 + a3 * l3
         f = (e0[None, :] - e0[:, None]) * s
         g = 2.0 * a**2 * x2 + 6.0 * a * a3 * l3 + beta * x4
         return h, f, g
-    n1, n2 = _pair_arrays(dim)
+    n1, n2 = triangular_pairs(dim)
     h = build_2d_true(beta, dim)
     e0 = n1 + n2 + 1.0
     # S = (a * xi1) * xi2 is a zero of a's sign off its bands, and F keeps that sign

@@ -99,17 +99,18 @@ rspt.DIVERGENCE_GUARD, and takes the per-column maxima only when either
 is outside or nan.
 
 The sweeps run in one stack object per set of running columns, built when
-the sweep starts, rebuilt with 16-sweep batches when a column stops and with
-64-sweep batches once after 256 sweeps without a stop: the constants of the
-update, the column history of a batch, every intermediate array, and the
-views each sweep reads and writes, bound once, so that a sweep is 17 numpy
-calls (19 on a block with an exact tie).  A batch starts by copying
-the last two columns of the previous one and their sums_l H[k, l] c[l] to
-the front of the history, and takes every energy from those sums.  Each
-elementwise product, diag(H) * c, H[k, l] * c, 4 H[k, l] * y and 2 s * y,
-is its own call on factors stored at the shape of the columns: numpy takes
-about three times as long over a call that broadcasts its operands.  A
-stack of one column, which is every iterate_solve and an iterate_solve_all
+the sweep starts and rebuilt when a column stops: the constants of the
+update, a column history sized for a 64-sweep batch, every intermediate
+array, and the views each sweep reads and writes, bound once, so that a
+sweep is 17 numpy calls (19 on a block with an exact tie).  Each batch
+takes its length from the sweeps run since the last stop and fills the
+front of that history.  A batch starts by copying the last two columns of
+the previous one and their sums_l H[k, l] c[l] to the front of the
+history, and takes every energy from those sums.  Each elementwise
+product, diag(H) * c, H[k, l] * c, 4 H[k, l] * y and 2 s * y, is its own
+call on factors stored at the shape of the columns: numpy takes about
+three times as long over a call that broadcasts its operands.  A stack of
+one column, which is every iterate_solve and an iterate_solve_all
 block once one column is left running, works on 1-D rows with 0-d sums, and
 its two products are np.dot; a wider stack keeps m x n rows and the stacked
 np.matmul.  Both products run the BLAS gemv and ddot kernels for each
@@ -129,7 +130,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import PerturbationSolution, SolveStatus, as_square_matrix, check_cap, is_count
+from .linalg import PerturbationSolution, SolveStatus, as_square_matrix, check_cap, check_state
 from .rspt import DIVERGENCE_GUARD, RELATIVE_TOL
 
 # A coefficient step below a few ulps of the state's own unit coefficient
@@ -138,8 +139,9 @@ _NOISE = 4.0 * np.finfo(float).eps
 # The relative tests compare against the half-sum of successive iterates.
 _HALF_TOL = 0.5 * RELATIVE_TOL
 # The stop rules are tested once per batch of at most _BATCH sweeps, or
-# _LONG_BATCH once a stack has run _LONG_AFTER sweeps without a stop, and a
-# batch keeps at most about _BATCH_ENTRIES coefficients of column history.
+# _LONG_BATCH once the running columns have gone _LONG_AFTER sweeps without
+# a stop, and a batch keeps at most about _BATCH_ENTRIES coefficients of
+# column history.
 _BATCH = 16
 _LONG_BATCH = 64
 _LONG_AFTER = 256
@@ -158,9 +160,7 @@ def iterate_solve(h, state: int, max_iterations: int = 10000) -> PerturbationSol
     """
     check_cap("max_iterations", max_iterations)
     a = as_square_matrix(h)
-    n = a.shape[0]
-    if not (is_count(state) and 0 <= state < n):
-        raise IndexError(f"state {state} outside 0..{n - 1}")
+    check_state(state, a.shape[0])
     block = _component(a != 0.0, state)
     return _sweep(a, block, np.flatnonzero(block == state), max_iterations)[0]
 
@@ -236,22 +236,19 @@ class _Stack:
 
     Row j of every m x n array belongs to the state at position ks[j] of the
     block, whose result goes to slots[j].  Everything here depends only on
-    that set of states and the batch length, so the stack is reused from
-    batch to batch and rebuilt only when a column stops or the batches
-    lengthen.  cols[s + 2] is the column after sweep s of a batch and
-    hcs[s + 2] its sum_l H[k, l] c[l]; cols[:2] and hcs[:2] carry the last
-    two columns of the previous batch and their sums, so the energies of a
-    batch are ek + hcs[1:].  The views of each sweep are bound once, and
-    every ufunc writes into a buffer.  A stack of one column binds 1-D row
-    views of every m x n array and 0-d views of the sums, and its products
-    are np.dot; a wider stack keeps the m x n rows and the stacked
-    np.matmul.  Both run BLAS gemv and ddot for each column, so a column is
-    rounded alike whether it runs alone or not.
+    that set of states, so the stack is reused from batch to batch and
+    rebuilt only when a column stops.  cols[s + 2] is the column after
+    sweep s of a batch and hcs[s + 2] its sum_l H[k, l] c[l]; cols[:2] and
+    hcs[:2] carry the last two columns of the previous batch and their
+    sums, so the energies of a batch are ek + hcs[1:].  The views of each
+    sweep are bound once, and every ufunc writes into a buffer.  A stack of
+    one column binds 1-D row views of every m x n array and 0-d views of the
+    sums, and its products are np.dot; a wider stack keeps the m x n rows
+    and the stacked np.matmul.  Both run BLAS gemv and ddot for each
+    column, so a column is rounded alike whether it runs alone or not.
     """
 
-    def __init__(
-        self, a: np.ndarray, ks: np.ndarray, slots: np.ndarray, carry, cap: int, batch: int
-    ) -> None:
+    def __init__(self, a: np.ndarray, ks: np.ndarray, slots: np.ndarray, carry, cap: int) -> None:
         m, n = ks.size, a.shape[0]
         diag = np.diag(a)
         self.ks, self.slots = ks, slots
@@ -276,9 +273,9 @@ class _Stack:
         hk4.ravel()[own] = 0.0
         vertex.ravel()[own] = 0.0
 
-        # A batch runs at most cap sweeps, the number left, and keeps about
-        # _BATCH_ENTRIES coefficients of column history.
-        steps = min(batch, max(1, _BATCH_ENTRIES // (m * n)), cap)
+        # The history holds a long batch, at most cap sweeps, the number left,
+        # and about _BATCH_ENTRIES coefficients.
+        steps = min(_LONG_BATCH, max(1, _BATCH_ENTRIES // (m * n)), cap)
         self.cols = np.empty((steps + 2, m, n))
         self.hcs = np.empty((steps + 2, m, 1))
         self.cols[:2], self.hcs[:2] = carry
@@ -299,12 +296,12 @@ class _Stack:
         self.first, self.second, self.work = np.empty(row), np.empty(row), np.empty(row)
         self.work_out = self.work.reshape(vec)
         self.mask = np.empty(row, dtype=bool)
-        cols, hcs = self.cols, self.hcs
-        self.sweeps = [
-            (c.reshape(row), c.reshape(vec), hc.reshape(total),
-             new.reshape(row), new.reshape(vec), hc_new.reshape(out))
-            for c, new, hc, hc_new in zip(cols[1:-1], cols[2:], hcs[1:-1], hcs[2:])
-        ]
+        # the views of each history slot, made once per slot, not per sweep
+        rows = list(self.cols.reshape((-1,) + row))
+        vecs = list(self.cols.reshape((-1,) + vec))
+        sums = [hc.reshape(total) for hc in self.hcs]
+        outs = [hc.reshape(out) for hc in self.hcs]
+        self.sweeps = list(zip(rows[1:-1], vecs[1:-1], sums[1:-1], rows[2:], vecs[2:], outs[2:]))
 
     def run(self, a: np.ndarray, steps: int) -> None:
         """Sweep steps times from cols[1]: fill cols[2 : steps + 2] and hcs[2 : steps + 2]."""
@@ -390,11 +387,10 @@ def _sweep(
         two_cols = np.zeros((2, states.size, a.shape[0]))
         two_cols[0] = np.nan
         carry = two_cols, np.full((2, states.size, 1), -0.0)
-        st = _Stack(a, states, np.arange(states.size), carry, cap, _BATCH)
+        st = _Stack(a, states, np.arange(states.size), carry, cap)
         it = ran = 0  # ran: sweeps since the last stop
-        long = False
         while True:
-            steps = min(len(st.sweeps), cap - it)
+            steps = min(len(st.sweeps), cap - it, _BATCH if ran < _LONG_AFTER else _LONG_BATCH)
             st.run(a, steps)
 
             # The stop rules on every sweep of the batch, one row per sweep.
@@ -448,21 +444,18 @@ def _sweep(
                 else:
                     finish(j, news[s, j], e1[s, j], sweep, SolveStatus.MAX_ITERATIONS_EXCEEDED)
             it += steps
-            stopped = done.any()
-            ran = 0 if stopped else ran + steps
-            if not stopped and (long or ran < _LONG_AFTER):
+            if not done.any():
+                ran += steps
                 st.cols[:2], st.hcs[:2, :, 0] = cols[-2:], hcs[-2:]
                 continue
             keep = ~done
             if not keep.any():
                 return results
-            # A stop rebuilds the stack for the running rows with short
-            # batches, and a long run without one rebuilds it once with long
-            # batches.  Copy the running rows out, then drop the old stack and
-            # the views of its history before the next one is built, so that
-            # no buffer is held twice.
-            long = not stopped
+            # A stop rebuilds the stack for the running rows.  Copy them out,
+            # then drop the old stack and the views of its history before the
+            # next one is built, so that no buffer is held twice.
+            ran = 0
             ks, slots = st.ks[keep], st.slots[keep]
             carry = cols[-2:, keep], hcs[-2:, keep, None]
             del st, cols, news, olds
-            st = _Stack(a, ks, slots, carry, cap - it, _LONG_BATCH if long else _BATCH)
+            st = _Stack(a, ks, slots, carry, cap - it)

@@ -82,6 +82,12 @@ def is_count(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def check_state(state, n: int) -> None:
+    """Raise IndexError unless state is an integer in 0..n - 1."""
+    if not (is_count(state) and 0 <= state < n):
+        raise IndexError(f"state {state} outside 0..{n - 1}")
+
+
 def check_cap(name: str, value) -> None:
     """Raise ValueError unless the solver cap value is an integer of at least 1.
 
@@ -206,7 +212,4 @@ def write_matrix_text(h, stream) -> None:
     space-separated values at 17 significant digits.
     """
     a = as_square_matrix(h)
-    stream.write(f"{a.shape[0]}\n")
-    for row in a:
-        stream.write(" ".join(f"{x:.17g}" for x in row) + "\n")
-
+    np.savetxt(stream, a, fmt="%.17g", header=str(a.shape[0]), comments="")

@@ -16,15 +16,13 @@ very large indices by power-law scaling of anchor values:
 * for min index beyond the trusted row limit, the value at the limit row is
   scaled by (n/n_e)^(1/2) for |xi| and (n/n_e)^(3/2) for |xi|^3.
 
-Tables are capped at 500 x 500; an element is read from a table, as
-cached_element_table(tag, max_n).value(n, m).
+Tables are capped at 500 x 500.  A table is a read-only ndarray indexed
+[n, m], so an element is cached_element_table(tag, max_n)[n, m].
 """
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -121,22 +119,6 @@ def _quadrature_element(n: int, m: int, power: int) -> float:
     return 2.0 * float(np.sum(w * psi[n] * psi[m] * x**power))
 
 
-@dataclass(frozen=True)
-class ElementTable:
-    """Dense symmetric table of operator matrix elements for indices 0..max_n."""
-
-    tag: str
-    max_n: int
-    values: np.ndarray
-
-    def value(self, n: int, m: int) -> float:
-        if n < 0 or m < 0 or n > self.max_n or m > self.max_n:
-            raise IndexOutOfRangeError(
-                f"({n}, {m}) outside table range 0..{self.max_n}"
-            )
-        return float(self.values[n, m])
-
-
 def _banded_table(tag: str, max_n: int) -> np.ndarray:
     vals = np.zeros((max_n + 1, max_n + 1))
     for k, band in _BANDS[tag].items():
@@ -182,8 +164,8 @@ def _abs_power_table(power: int, max_n: int) -> np.ndarray:
     return vals
 
 
-def build_element_table(tag: str, max_n: int) -> ElementTable:
-    """Build the full element table for one operator tag, indices 0..max_n."""
+def build_element_table(tag: str, max_n: int) -> np.ndarray:
+    """The read-only, symmetric (max_n + 1) x (max_n + 1) element table of one operator tag."""
     if tag not in TAGS:
         raise ValueError(f"unknown operator tag {tag!r}, expected one of {TAGS}")
     if max_n < 0:
@@ -196,19 +178,19 @@ def build_element_table(tag: str, max_n: int) -> ElementTable:
         power = 1 if tag == "lambda_xi" else 3
         vals = _abs_power_table(power, max_n)
     vals.setflags(write=False)
-    return ElementTable(tag=tag, max_n=max_n, values=vals)
+    return vals
 
 
 @lru_cache(maxsize=16)
-def cached_element_table(tag: str, max_n: int) -> ElementTable:
+def cached_element_table(tag: str, max_n: int) -> np.ndarray:
     """Memoized build_element_table."""
     return build_element_table(tag, max_n)
 
 
-def write_table_csv(table: ElementTable, stream) -> None:
+def write_table_csv(table: np.ndarray, stream) -> None:
     """Dump a table as CSV rows n,m,value with 17 significant digits."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["n", "m", "value"])
-    for n in range(table.max_n + 1):
-        for m in range(table.max_n + 1):
-            writer.writerow([n, m, f"{table.values[n, m]:.17g}"])
+    n, m = np.indices(table.shape)
+    rows = np.column_stack([n.ravel(), m.ravel(), table.ravel()])
+    np.savetxt(
+        stream, rows, fmt=["%d", "%d", "%.17g"], delimiter=",", header="n,m,value", comments=""
+    )

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PerturbationSolution, SolveStatus, as_square_matrix, check_cap, is_count
+from .linalg import PerturbationSolution, SolveStatus, as_square_matrix, check_cap, check_state
 
 DIVERGENCE_GUARD = 1.0e12
 # Relative convergence tolerance of both solvers' energy and coefficient tests.
@@ -106,9 +106,7 @@ def rspt_solve(
     """
     check_cap("max_order", max_order)
     a = as_square_matrix(h)
-    n = a.shape[0]
-    if not (is_count(state) and 0 <= state < n):
-        raise IndexError(f"state {state} outside 0..{n - 1}")
+    check_state(state, a.shape[0])
     return _expand(a, np.array([state]), max_order, keep_history)[0]
 
 

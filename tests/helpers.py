@@ -29,7 +29,7 @@ def hermite_coefficients(n: int) -> tuple[int, ...]:
 
 def element(tag: str, n: int, m: int) -> float:
     """<n|op|m> of one operator tag, read from its full-size cached table."""
-    return cached_element_table(tag, TABLE_LIMIT).value(n, m)
+    return float(cached_element_table(tag, TABLE_LIMIT)[n, m])
 
 
 def abs_power_oracle(n: int, m: int, power: int) -> float:
@@ -84,8 +84,8 @@ def dense_2d_matrices(beta: float, a: float, n_max: int):
     """
     pairs = np.array([(n1, t - n1) for t in range(n_max + 1) for n1 in range(t + 1)])
     n1, n2 = pairs[:, 0], pairs[:, 1]
-    xi = cached_element_table("xi", n_max).values
-    x2tab = cached_element_table("xi2", n_max).values
+    xi = cached_element_table("xi", n_max)
+    x2tab = cached_element_table("xi2", n_max)
     x1 = xi[n1[:, None], n1[None, :]]
     x2 = xi[n2[:, None], n2[None, :]]
     total = n1 + n2

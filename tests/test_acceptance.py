@@ -35,13 +35,13 @@ from perturba.experiments import (
     exact_linear_energy,
 )
 from perturba.hamiltonians import (
-    BasisMap2D,
     build_2d_synthetic,
     build_linear_synthetic,
     build_linear_true,
     build_quartic_synthetic,
     build_quartic_true,
     default_quartic_a2,
+    triangular_pairs,
     verify_fg_structure,
 )
 from perturba.iterative import iterate_solve
@@ -209,8 +209,7 @@ def test_criterion_05_true_quartic_basis_growth():
 def test_criterion_06_coupled_2d_degenerate_levels():
     """820-state coupled-oscillator run nails the lowest three levels."""
     checks = []
-    basis = BasisMap2D.triangular(39)
-    assert basis.size == 820
+    assert triangular_pairs(39)[0].size == 820
     for beta in (0.2, 0.4, 0.6, 0.8):
         h = build_2d_synthetic(beta, beta / 2.0, 39)
         worst = 0.0
@@ -256,7 +255,7 @@ def test_criterion_08_element_suite():
     checks = []
 
     # product closure on the 0..60 block, inner sums complete through 64
-    tables = {tag: build_element_table(tag, 64).values for tag in ("xi", "xi2", "xi3", "xi4")}
+    tables = {tag: build_element_table(tag, 64) for tag in ("xi", "xi2", "xi3", "xi4")}
     xi, xi2, xi3, xi4 = tables["xi"], tables["xi2"], tables["xi3"], tables["xi4"]
     b = slice(0, 61)
     closures = {

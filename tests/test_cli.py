@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from perturba.cli import build_parser, main
-from perturba.hamiltonians import BasisMap2D, build_linear_synthetic, build_quartic_synthetic
+from perturba.experiments import exact_2d_energy
+from perturba.hamiltonians import build_linear_synthetic, build_quartic_synthetic, triangular_pairs
 from perturba.linalg import write_matrix_text
 
 
@@ -157,6 +158,16 @@ class TestOsc2dCommand:
         assert all(rec["transform"] == "none" for rec in records)
         assert code in (0, 2)
 
+    def test_label_and_exact_columns(self, capsys):
+        # the solver digits follow the BLAS build; the basis labels and the
+        # closed-form column do not
+        _, out, _ = run_cli(["osc2d", "--beta", "0.4", "--nmax", "6"], capsys)
+        pairs = [(n1, total - n1) for total in range(7) for n1 in range(total + 1)]
+        records = parse_csv(out)
+        assert [(int(r["n1"]), int(r["n2"])) for r in records] == pairs
+        expected = [f"{exact_2d_energy(n1, n2, 0.4):.17g}" for n1, n2 in pairs]
+        assert [r["exact"] for r in records] == expected
+
     def test_unbound_beta_rejected_before_output(self, tmp_path, capsys):
         # beta 1.5 has no exact levels: nothing is solved or written
         code, out, err = run_cli(["osc2d", "--beta", "0.3,1.5", "--nmax", "2"], capsys)
@@ -190,6 +201,22 @@ class TestElementsCommand:
         assert rows[("0", "2")] == pytest.approx(6.0 / math.sqrt(8.0 * math.pi), abs=1e-12)
         assert rows[("0", "1")] == 0.0
 
+    @pytest.mark.parametrize(
+        "op, digest",
+        [
+            ("xi", "1b48651b662a6e7d"),
+            ("xi2", "01de6afeb21a4d18"),
+            ("xi3", "a768b9fcb8118c06"),
+            ("xi4", "9b282bdf0f7f59d7"),
+            ("lxi", "37b7663952cdc97d"),
+            ("lxi3", "1b57d6e8b9d6fb98"),
+        ],
+    )
+    def test_table_bytes(self, op, digest, capsys):
+        code, out, _ = run_cli(["elements", "--op", op, "--max-n", "60"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
     def test_determinism(self, capsys):
         _, first, _ = run_cli(["elements", "--op", "lxi", "--max-n", "4"], capsys)
         _, second, _ = run_cli(["elements", "--op", "lxi", "--max-n", "4"], capsys)
@@ -216,7 +243,7 @@ class TestMatrixCommand:
         )
         assert code == 0
         h = np.loadtxt(io.StringIO(out), skiprows=1, ndmin=2)
-        assert h.shape == (BasisMap2D.triangular(3).size,) * 2 == (10, 10)
+        assert h.shape == (triangular_pairs(3)[0].size,) * 2 == (10, 10)
 
     def test_osc2d_matrix_beyond_bound_spectrum(self, capsys):
         code, out, _ = run_cli(["matrix", "--problem", "osc2d", "--beta", "1.5"], capsys)
@@ -249,6 +276,14 @@ class TestMatrixCommand:
         write_matrix_text(build_quartic_synthetic(1.0, -0.375, 12), expected)
         assert out == expected.getvalue()
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == "b4a04f28fc6d8804"
+
+    def test_osc2d_synthetic_bytes(self, capsys):
+        code, out, _ = run_cli(
+            ["matrix", "--problem", "osc2d", "--beta", "0.3", "--synthetic", "on", "--nmax", "8"],
+            capsys,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == "89e68feca0351568"
 
     def test_matrix_determinism(self, capsys):
         args = ["matrix", "--problem", "quartic", "--beta", "1.0", "--dim", "12",

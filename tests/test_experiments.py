@@ -1,5 +1,6 @@
 """Benchmark orchestration: references, runs, CSV output, wavefunctions."""
 
+import dataclasses
 import io
 import math
 
@@ -30,7 +31,7 @@ from perturba.hamiltonians import (
     build_quartic_synthetic,
     build_quartic_true,
 )
-from perturba.linalg import SolveStatus
+from perturba.linalg import DimensionMismatchError, SolveStatus
 from perturba.oscillator import wavefunction_rows
 
 
@@ -470,6 +471,32 @@ class TestBacktransform:
         sol = iterate_solve(build_linear_true(0.5, 10), 0)
         with pytest.raises(ValueError, match="strictly increasing"):
             backtransform_wavefunction(inst, sol, grid)
+
+    @pytest.mark.parametrize("part", ["grid", "coefficients"])
+    def test_rejects_complex_input(self, part):
+        # the casts to float kept only the real parts, with a ComplexWarning
+        from perturba.iterative import iterate_solve
+
+        inst = ProblemInstance(problem="linear", beta=0.5, dim=10, method="iter")
+        sol = iterate_solve(build_linear_true(0.5, 10), 0)
+        grid = np.linspace(-3.0, 3.0, 7)
+        if part == "grid":
+            grid = grid + 0j
+        else:
+            sol = dataclasses.replace(sol, coefficients=sol.coefficients + 0j)
+        with pytest.raises(ValueError, match="not complex"):
+            backtransform_wavefunction(inst, sol, grid)
+
+    @pytest.mark.parametrize("dim", [5, 20])
+    def test_rejects_a_solution_that_does_not_fit(self, dim):
+        # a 10-coefficient solution under a dim-20 or dim-5 instance gave a
+        # wavefunction of the wrong expansion
+        from perturba.iterative import iterate_solve
+
+        inst = ProblemInstance(problem="linear", beta=0.5, dim=dim, method="iter")
+        sol = iterate_solve(build_linear_true(0.5, 10), 0)
+        with pytest.raises(DimensionMismatchError, match="does not fit dim"):
+            backtransform_wavefunction(inst, sol, self.GRID)
 
     def test_wavefunction_rows_shape(self):
         rows = wavefunction_rows(3, self.GRID)

@@ -13,13 +13,13 @@ from helpers import reference_iterate
 from perturba import iterative
 from perturba.experiments import exact_2d_energy
 from perturba.hamiltonians import (
-    BasisMap2D,
     build_2d_synthetic,
     build_2d_true,
     build_linear_true,
     build_quartic_synthetic,
     build_quartic_true,
     default_quartic_a2,
+    triangular_pairs,
 )
 from perturba.iterative import (
     _coupling_blocks,
@@ -515,9 +515,9 @@ class TestAgainstReference:
             # against the column of sweep 95 carried into its new stack
             (2451, [5, 3, 2, 1], 1, "period-2 cycle at sweep 97"),
             # state 1 stalls at sweep 30, and states 0 and 2 cycle at 85 and
-            # 153; state 3 runs alone from sweep 161, in long batches from
-            # sweep 417, up to the cap at 10,000
-            (9, [4, 3, 2, 1, 1], 3, None),
+            # 153; state 3 runs alone from sweep 161, in long batches of the
+            # same stack from sweep 417, up to the cap at 10,000
+            (9, [4, 3, 2, 1], 3, None),
         ],
         ids=["cycle", "cap"],
     )
@@ -668,7 +668,7 @@ class TestCouplingBlocks:
 class TestDegenerateRotation:
     """Shells n1 + n2 = N of the 2-D oscillator are tied and coupled in-shell."""
 
-    PAIRS = BasisMap2D.triangular(39).pairs
+    PAIRS = list(zip(*triangular_pairs(39)))
 
     def solve_on_levels(self, beta, states):
         """Solve states, asserting each is an eigenpair at its pair's normal-mode level.
