@@ -23,7 +23,7 @@ from .experiments import (
     write_results_csv,
 )
 from .hamiltonians import default_quartic_a2
-from .linalg import write_matrix_text
+from .linalg import as_square_matrix, write_matrix_text
 from .oscillator import cached_element_table, write_table_csv
 
 OP_TAGS = {
@@ -123,7 +123,8 @@ def _cmd_matrix(args) -> int:
     for owner, flag in _TRANSFORM_FLAGS.items():
         if owner != args.problem and _flag_value(args, flag) != "off":
             raise ValueError(f"{flag} is the {owner} transform flag; --problem is {args.problem}")
-    h = build_instance_matrix(_instance(args, args.problem, args.beta))
+    # checked before the output file is opened, so a refused matrix leaves none
+    h = as_square_matrix(build_instance_matrix(_instance(args, args.problem, args.beta)))
     _write_out(args.out, lambda s: write_matrix_text(h, s))
     return 0
 

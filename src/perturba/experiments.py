@@ -300,11 +300,6 @@ def write_results_csv(results, stream) -> None:
             writer.writerow(record)
 
 
-def _trapezoid(y: np.ndarray, x: np.ndarray) -> float:
-    trap = getattr(np, "trapezoid", None) or np.trapz
-    return float(trap(y, x))
-
-
 def backtransform_wavefunction(instance: ProblemInstance, solution, grid) -> np.ndarray:
     """Coordinate-space wavefunction from a solved coefficient column of instance.
 
@@ -337,7 +332,7 @@ def backtransform_wavefunction(instance: ProblemInstance, solution, grid) -> np.
         else:
             s = a * x * x + quartic_a3(instance.beta) * np.abs(x) ** 3
         wave = wave * np.exp(-s)
-    norm = math.sqrt(_trapezoid(wave * wave, x))
+    norm = math.sqrt(np.trapezoid(wave * wave, x))
     if norm == 0.0:
         raise ValueError("wavefunction vanished on the grid")
     return wave / norm

@@ -51,12 +51,12 @@ the target onto no eigenpair.  Uncoupled or non-symmetric groups stay as
 they are and keep the tie-break.
 
 The coefficient columns of all target states of one coupling block are
-swept together, so a sweep costs one stacked product H @ C and one pass of
-elementwise operations for every state still running.  Columns never mix:
-iterate_solve is the sweep of one column, iterate_solve_all one sweep per
-coupling block over all its states, and a column leaves the sweep at the end
-of the batch (below) in which it stops.  Both see the same block submatrix,
-so they give the same result per state.  A column stops when
+swept together, so a sweep costs one matrix-vector product per column and
+one pass of elementwise operations for every state still running.  Columns
+never mix: iterate_solve is the sweep of one column, iterate_solve_all one
+sweep per coupling block over all its states, and a column leaves the sweep
+at the end of the batch (below) in which it stops.  Both see the same block
+submatrix, so they give the same result per state.  A column stops when
 
 1. converged: |E - E_prev| <= rspt.RELATIVE_TOL * |E + E_prev| / 2, and
    the same test passes for every coefficient.  A coefficient step that
@@ -112,9 +112,10 @@ call on factors stored at the shape of the columns: numpy takes about
 three times as long over a call that broadcasts its operands.  A stack of
 one column, which is every iterate_solve and an iterate_solve_all
 block once one column is left running, works on 1-D rows with 0-d sums, and
-its two products are np.dot; a wider stack keeps m x n rows and the stacked
-np.matmul.  Both products run the BLAS gemv and ddot kernels for each
-column, so a column is rounded the same whichever stack it runs in.
+its two products are np.dot; a wider stack hands its m x n rows to
+np.matvec and np.vecdot as they are.  Both products run the BLAS gemv and
+ddot kernels for each column, so a column is rounded the same whichever
+stack it runs in.
 The root is computed as sqrt(q) without clamping q at 0: where q < 0 the
 square root is nan, and the vertex root replaces that entry anyway, and a
 nan q stays nan either way.  So the denominator is exactly 0 only where q
@@ -243,8 +244,8 @@ class _Stack:
     sums, so the energies of a batch are ek + hcs[1:].  The views of each
     sweep are bound once, and every ufunc writes into a buffer.  A stack of
     one column binds 1-D row views of every m x n array and 0-d views of the
-    sums, and its products are np.dot; a wider stack keeps the m x n rows
-    and the stacked np.matmul.  Both run BLAS gemv and ddot for each
+    sums, and its products are np.dot; a wider stack takes its m x n rows
+    to np.matvec and np.vecdot.  Both run BLAS gemv and ddot for each
     column, so a column is rounded alike whether it runs alone or not.
     """
 
@@ -277,42 +278,42 @@ class _Stack:
         # and about _BATCH_ENTRIES coefficients.
         steps = min(_LONG_BATCH, max(1, _BATCH_ENTRIES // (m * n)), cap)
         self.cols = np.empty((steps + 2, m, n))
-        self.hcs = np.empty((steps + 2, m, 1))
+        self.hcs = np.empty((steps + 2, m))
         self.cols[:2], self.hcs[:2] = carry
         # One column sweeps 1-D rows with 0-d sums through np.dot; more sweep
-        # m x n rows with m x 1 sums through the stacked np.matmul.
+        # the m x n rows through np.matvec and np.vecdot, and read their sums
+        # as m x 1 columns where they meet the rows.
         if m == 1:
-            self.product, row, vec, left, total, out = np.dot, (n,), (n,), (n,), (), ()
+            self.matvec = self.vecdot = np.dot
+            row, total, out = (n,), (), ()
         else:
-            self.product, row, vec, left = np.matmul, (m, n), (m, n, 1), (m, 1, n)
-            total, out = (m, 1), (m, 1, 1)
+            self.matvec, self.vecdot = np.matvec, np.vecdot
+            row, total, out = (m, n), (m, 1), (m,)
         self.diag = np.tile(diag, (m, 1)).reshape(row)
-        self.hk, self.hk_left, self.hk4 = hk.reshape(row), hk.reshape(left), hk4.reshape(row)
+        self.hk, self.hk4 = hk.reshape(row), hk4.reshape(row)
         self.hck = np.ascontiguousarray(a[:, ks].T).reshape(row)  # H[l, k]
         self.sign2 = sign2.reshape(row)
         self.tie_sign = sign.reshape(row) if tied.any() else None
         self.gap2, self.abs_gap = gap2.reshape(row), abs_gap.reshape(row)
         self.vertex = vertex.reshape(row)
         self.first, self.second, self.work = np.empty(row), np.empty(row), np.empty(row)
-        self.work_out = self.work.reshape(vec)
         self.mask = np.empty(row, dtype=bool)
         # the views of each history slot, made once per slot, not per sweep
         rows = list(self.cols.reshape((-1,) + row))
-        vecs = list(self.cols.reshape((-1,) + vec))
         sums = [hc.reshape(total) for hc in self.hcs]
         outs = [hc.reshape(out) for hc in self.hcs]
-        self.sweeps = list(zip(rows[1:-1], vecs[1:-1], sums[1:-1], rows[2:], vecs[2:], outs[2:]))
+        self.sweeps = list(zip(rows[1:-1], sums[1:-1], rows[2:], outs[2:]))
 
     def run(self, a: np.ndarray, steps: int) -> None:
         """Sweep steps times from cols[1]: fill cols[2 : steps + 2] and hcs[2 : steps + 2]."""
         diag, hk, hk4, sign2, hck = self.diag, self.hk, self.hk4, self.sign2, self.hck
         gap2, abs_gap, vertex, tie_sign = self.gap2, self.abs_gap, self.vertex, self.tie_sign
-        first, second, work, work_out = self.first, self.second, self.work, self.work_out
-        mask, product, hk_left = self.mask, self.product, self.hk_left
+        first, second, work, mask = self.first, self.second, self.work, self.mask
+        matvec, vecdot = self.matvec, self.vecdot
         multiply, subtract, add = np.multiply, np.subtract, np.add
         sqrt, divide, equal, less, putmask = np.sqrt, np.divide, np.equal, np.less, np.putmask
-        for c, c_vec, hc, new, new_vec, hc_new in self.sweeps[:steps]:
-            product(a, c_vec, work_out)
+        for c, hc, new, hc_new in self.sweeps[:steps]:
+            matvec(a, c, work)
             multiply(diag, c, first)
             multiply(hk, c, second)
             subtract(work, first, work)
@@ -331,7 +332,7 @@ class _Stack:
                 putmask(new, mask, tie_sign)
             less(first, _ZERO, mask)
             putmask(new, mask, vertex)
-            product(hk_left, new_vec, hc_new)
+            vecdot(hk, new, hc_new)
 
 
 def _sweep(
@@ -342,12 +343,12 @@ def _sweep(
     block holds the block's indices into h, states the targets' positions
     within it.  Every operation sees only the block submatrix; finished
     columns are scattered back to full length, zero outside the block.
-    The columns are stored one state per row, and the products are stacks
-    of matrix-vector and dot products rather than one matrix-matrix
-    product, or plain ones for a single column, so that every column is
-    rounded exactly as when swept alone: the cycle test compares bits, and
-    iterate_solve_all must stop each state at the same sweep, with the same
-    result, as iterate_solve.
+    The columns are stored one state per row, and the products are one
+    matrix-vector and one dot product per column rather than one
+    matrix-matrix product, so that every column is rounded exactly as when
+    swept alone: the cycle test compares bits, and iterate_solve_all must
+    stop each state at the same sweep, with the same result, as
+    iterate_solve.
     """
     a = h[np.ix_(block, block)]
     # The residual gate's block-sized products go through einsum, not BLAS:
@@ -386,7 +387,7 @@ def _sweep(
         # x + -0.0 is x for every x: the first energy is H[k, k] to the bit.
         two_cols = np.zeros((2, states.size, a.shape[0]))
         two_cols[0] = np.nan
-        carry = two_cols, np.full((2, states.size, 1), -0.0)
+        carry = two_cols, np.full((2, states.size), -0.0)
         st = _Stack(a, states, np.arange(states.size), carry, cap)
         it = ran = 0  # ran: sweeps since the last stop
         while True:
@@ -394,7 +395,7 @@ def _sweep(
             st.run(a, steps)
 
             # The stop rules on every sweep of the batch, one row per sweep.
-            cols, hcs = st.cols[: steps + 2], st.hcs[: steps + 2, :, 0]
+            cols, hcs = st.cols[: steps + 2], st.hcs[: steps + 2]
             news, olds = cols[2:], cols[1:-1]
             energies = st.ek + hcs[1:]
             e0, e1 = energies[:-1], energies[1:]
@@ -446,7 +447,7 @@ def _sweep(
             it += steps
             if not done.any():
                 ran += steps
-                st.cols[:2], st.hcs[:2, :, 0] = cols[-2:], hcs[-2:]
+                st.cols[:2], st.hcs[:2] = cols[-2:], hcs[-2:]
                 continue
             keep = ~done
             if not keep.any():
@@ -456,6 +457,6 @@ def _sweep(
             # next one is built, so that no buffer is held twice.
             ran = 0
             ks, slots = st.ks[keep], st.slots[keep]
-            carry = cols[-2:, keep], hcs[-2:, keep, None]
+            carry = cols[-2:, keep], hcs[-2:, keep]
             del st, cols, news, olds
             st = _Stack(a, ks, slots, carry, cap - it)

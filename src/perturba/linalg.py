@@ -66,14 +66,19 @@ def as_square_matrix(h) -> np.ndarray:
     """Validate and return h as a square float64 array.
 
     A complex h is rejected: converting it would drop its imaginary part.
+    So is an h whose squared Frobenius norm is not finite: an inf or nan
+    entry, or entries so large (about 1e154) that the norm overflows,
+    which would leave every tolerance scaled by it infinite.
     """
     if np.iscomplexobj(h):
         raise ValueError("matrix must be real, not complex")
     a = np.asarray(h, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains non-finite entries")
+    if not np.isfinite(np.einsum("ij,ij->", a, a)):
+        if not np.isfinite(a).all():
+            raise ValueError("matrix contains non-finite entries")
+        raise ValueError("matrix Frobenius norm overflows")
     return a
 
 

@@ -188,9 +188,13 @@ def cached_element_table(tag: str, max_n: int) -> np.ndarray:
 
 
 def write_table_csv(table: np.ndarray, stream) -> None:
-    """Dump a table as CSV rows n,m,value with 17 significant digits."""
+    """Dump a table as CSV rows n,m,value with 17 significant digits.
+
+    savetxt formats one array row per call, so each table row n is one
+    array row [n, 0, value, n, 1, value, ...] with one format for all of its
+    lines, rather than one call per entry.
+    """
     n, m = np.indices(table.shape)
-    rows = np.column_stack([n.ravel(), m.ravel(), table.ravel()])
-    np.savetxt(
-        stream, rows, fmt=["%d", "%d", "%.17g"], delimiter=",", header="n,m,value", comments=""
-    )
+    rows = np.stack([n, m, table], axis=-1).reshape(table.shape[0], -1)
+    fmt = "\n".join(["%d,%d,%.17g"] * table.shape[0])
+    np.savetxt(stream, rows, fmt=fmt, header="n,m,value", comments="")

@@ -39,15 +39,15 @@ outside or nan.  A column computed past its guard order can overflow; those
 orders are dropped, so their warnings are suppressed.
 
 The target states of one call are expanded together, one coefficient column
-per state, so an order costs three stacked products, for E(a), for W c(a-1)
-and for the b-sum, whatever the number of states.  Columns never mix, and
-every stacked product rounds each column as when it runs alone, so
-rspt_solve(h, k) and rspt_solve_all(h)[k] give the same bits.  The b-sum is
-one matrix-vector product per column that BLAS reads forward: the
-corrections c(1), c(2), ... of a column are contiguous rows, and its energy
-corrections are stored last order first, so that E(a-1), ..., E(1) is a
-contiguous run too.  A column leaves the stack at the end of the batch in
-which it stops.
+per state, so an order costs three numpy calls on the (states, n) rows,
+whatever the number of states: np.vecdot for E(a), np.matvec for W c(a-1)
+and np.vecmat for the b-sum.  Columns never mix, and each call rounds a
+column as when it runs alone, so rspt_solve(h, k) and rspt_solve_all(h)[k]
+give the same bits.  The b-sum is one vector-matrix product per column that
+BLAS reads forward: the corrections c(1), c(2), ... of a column are
+contiguous rows, and its energy corrections are stored last order first, so
+that E(a-1), ..., E(1) is a contiguous run too.  A column leaves the stack
+at the end of the batch in which it stops.
 The history is allocated in chunks that double as orders run, and each
 growth drops the rows of the columns that left, so memory follows the
 columns still running rather than the order cap.
@@ -137,7 +137,7 @@ class _Columns:
         self.safe_gap = np.where(tied, 1.0, gap)
         tied.ravel()[self.own] = False
         self.zero_gap = tied if tied.any() else None  # l != k with H[l, l] == H[k, k]
-        self.wk = w[ks, None, :]  # W[k, :] as a 1 x n row per column
+        self.wk = w[ks]  # W[k, :]
 
 
 def _expand(
@@ -191,14 +191,13 @@ def _expand(
                 c_hist = grown
             end = min(start + _BATCH - 1, rows - 1, last)
             for order in range(start, end + 1):
-                prev = c_hist[:, order - 1, :, None]
-                e = np.matmul(t.wk, prev)[:, 0, 0]
-                rhs = np.matmul(w, prev)[:, :, 0]
+                prev = c_hist[:, order - 1]
+                rhs = np.matvec(w, prev)
                 if order >= 2:
-                    rhs -= np.matmul(e_rev[:, None, last - order + 1 :], c_hist[:, 1:order])[:, 0]
+                    rhs -= np.vecmat(e_rev[:, last - order + 1 :], c_hist[:, 1:order])
                 np.put(rhs, t.own, 0.0)
                 np.divide(rhs, t.safe_gap, out=c_hist[:, order])
-                e_rev[:, last - order] = e
+                e_rev[:, last - order] = np.vecdot(t.wk, prev)
 
             # The rules on every order of the batch, one row per column.
             # sums[:, i] is the total through order start - 1 + i; accumulate

@@ -350,10 +350,9 @@ def test_criterion_10_backtransform_orthogonality():
     )
     checks.append(("ground state pointwise 1e-6", err <= 1e-6, f"max err {err:.2e}"))
 
-    trap = getattr(np, "trapezoid", None) or np.trapz
     worst = 0.0
     for i in range(6):
         for j in range(i + 1, 6):
-            worst = max(worst, abs(float(trap(waves[i] * waves[j], grid))))
+            worst = max(worst, abs(float(np.trapezoid(waves[i] * waves[j], grid))))
     checks.append(("mutual orthogonality 1e-6", worst <= 1e-6, f"worst {worst:.2e}"))
     _report(10, "wavefunction back-transform (linear, beta=0.5)", checks)

@@ -202,18 +202,24 @@ class TestElementsCommand:
         assert rows[("0", "1")] == 0.0
 
     @pytest.mark.parametrize(
-        "op, digest",
+        "op, max_n, digest",
         [
-            ("xi", "1b48651b662a6e7d"),
-            ("xi2", "01de6afeb21a4d18"),
-            ("xi3", "a768b9fcb8118c06"),
-            ("xi4", "9b282bdf0f7f59d7"),
-            ("lxi", "37b7663952cdc97d"),
-            ("lxi3", "1b57d6e8b9d6fb98"),
+            # the id is op-digest: the digest already tells two sizes apart
+            pytest.param(op, max_n, digest, id=f"{op}-{digest}")
+            for op, max_n, digest in [
+                ("xi", 60, "1b48651b662a6e7d"),
+                ("xi2", 60, "01de6afeb21a4d18"),
+                ("xi3", 60, "a768b9fcb8118c06"),
+                ("xi4", 60, "9b282bdf0f7f59d7"),
+                ("lxi", 60, "37b7663952cdc97d"),
+                ("lxi3", 60, "1b57d6e8b9d6fb98"),
+                # the smallest table with rows past QUAD_ROW_LIMIT = 100
+                ("lxi3", 150, "54f9baa2aed4fec9"),
+            ]
         ],
     )
-    def test_table_bytes(self, op, digest, capsys):
-        code, out, _ = run_cli(["elements", "--op", op, "--max-n", "60"], capsys)
+    def test_table_bytes(self, op, max_n, digest, capsys):
+        code, out, _ = run_cli(["elements", "--op", op, "--max-n", str(max_n)], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
@@ -375,6 +381,33 @@ class TestErrorPaths:
         assert proc.stdout == ""
         beta = argv[argv.index("--beta") + 1].split(",")[-1]
         assert proc.stderr == f"error: beta {beta} is not finite\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(["linear", "--beta", "1e160", "--dim", "4", "--method", method]
+              for method in ("iter", "rspt", "oracle")),
+            ["matrix", "--problem", "linear", "--beta", "1e160", "--dim", "4"],
+        ],
+        ids=["iter", "rspt", "oracle", "matrix"],
+    )
+    def test_overflowing_matrix_rejected(self, argv):
+        # entries near 1e160 overflow the squared Frobenius norm, and every
+        # tolerance scaled by it would pass any column.  A subprocess, so
+        # that a numpy warning would reach stderr.
+        proc = subprocess.run(
+            [sys.executable, "-m", "perturba.cli", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: matrix Frobenius norm overflows\n"
+
+    def test_refused_matrix_writes_no_file(self, tmp_path, capsys):
+        out = tmp_path / "h.txt"
+        argv = ["matrix", "--problem", "linear", "--beta", "1e160", "--dim", "4"]
+        code, _, err = run_cli([*argv, "--out", str(out)], capsys)
+        assert (code, err) == (1, "error: matrix Frobenius norm overflows\n")
+        assert not out.exists()
 
     def test_oversized_table_request(self, capsys):
         code, _, err = run_cli(["elements", "--op", "lxi", "--max-n", "501"], capsys)

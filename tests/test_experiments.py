@@ -436,8 +436,7 @@ class TestBacktransform:
         inst = ProblemInstance(problem="linear", beta=0.5, dim=10, method="iter")
         sol = iterate_solve(build_instance_matrix(inst), 0)
         wave = backtransform_wavefunction(inst, sol, self.GRID)
-        trap = getattr(np, "trapezoid", None) or np.trapz
-        assert float(trap(wave * wave, self.GRID)) == pytest.approx(1.0, abs=1e-12)
+        assert np.trapezoid(wave * wave, self.GRID) == pytest.approx(1.0, abs=1e-12)
 
     def test_osc2d_has_no_coordinate_picture(self):
         from perturba.iterative import iterate_solve

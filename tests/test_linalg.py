@@ -261,3 +261,28 @@ class TestAsSquareMatrix:
                 call()
         with pytest.raises(ValueError, match="coefficient vector must be real, not complex"):
             residual_norm(h.real, 1.0, np.array([1.0, 1e-3j]))
+
+    @pytest.mark.parametrize(
+        "h, message",
+        [
+            # the levels are about +-1e200, but a tolerance scaled by the
+            # overflowing norm is inf: iterate_solve called this converged
+            # at energy 1.0, and the Jacobi oracle returned (1, 2)
+            (np.array([[1.0, 1e200], [1e200, 2.0]]), "matrix Frobenius norm overflows"),
+            (np.array([[1.0, np.inf], [0.0, 2.0]]), "matrix contains non-finite entries"),
+            (np.array([[1.0, 0.0], [np.nan, 2.0]]), "matrix contains non-finite entries"),
+        ],
+        ids=["overflow", "inf", "nan"],
+    )
+    def test_rejects_non_finite_norm(self, h, message):
+        for call in (
+            lambda: iterate_solve(h, 0),
+            lambda: iterate_solve_all(h),
+            lambda: rspt_solve(h, 0),
+            lambda: rspt_solve_all(h),
+            lambda: jacobi_diagonalize(h),
+            lambda: residual_norm(h, 1.0, [1.0, 0.0]),
+            lambda: as_square_matrix(h.tolist()),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
