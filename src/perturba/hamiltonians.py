@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import check_cap, is_count
 from .oscillator import cached_element_table
 
 
@@ -55,8 +56,7 @@ def quartic_a3(beta: float) -> float:
 
 def build_linear_true(beta: float, dim: int) -> np.ndarray:
     """H0 + beta * xi on dim states: diagonal n + 1/2, single coupling band."""
-    if dim < 1:
-        raise ValueError("dim must be positive")
+    check_cap("dim", dim)
     xi = cached_element_table("xi", dim - 1)
     return np.diag(np.arange(dim) + 0.5) + beta * xi
 
@@ -68,8 +68,7 @@ def build_linear_synthetic(beta: float, a: float, dim: int) -> np.ndarray:
     (beta + a) above and (beta - a) below the diagonal, so a = beta empties
     the lower triangle and puts the exact energies on the diagonal.
     """
-    if dim < 1:
-        raise ValueError("dim must be positive")
+    check_cap("dim", dim)
     xi = cached_element_table("xi", dim - 1)
     diag = np.diag(np.arange(dim) + 0.5 - 0.5 * a * a)
     return diag + (beta + a) * np.triu(xi) + (beta - a) * np.tril(xi)
@@ -77,8 +76,7 @@ def build_linear_synthetic(beta: float, a: float, dim: int) -> np.ndarray:
 
 def build_quartic_true(beta: float, dim: int) -> np.ndarray:
     """H0 + beta * xi^4 on dim states; bands at |n - m| in {0, 2, 4}."""
-    if dim < 1:
-        raise ValueError("dim must be positive")
+    check_cap("dim", dim)
     xi4 = cached_element_table("xi4", dim - 1)
     return np.diag(np.arange(dim) + 0.5) + beta * xi4
 
@@ -96,8 +94,7 @@ def build_quartic_synthetic(beta: float, a2: float, dim: int) -> np.ndarray:
 
     with a3 = sqrt(2 beta) / 3.
     """
-    if dim < 1:
-        raise ValueError("dim must be positive")
+    check_cap("dim", dim)
     a3 = quartic_a3(beta)
     idx = np.arange(dim)
     nm = idx[:, None] - idx[None, :]
@@ -112,8 +109,8 @@ def triangular_pairs(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     Keeps every pair with n1 + n2 <= n_max, ordered by total quanta and then
     by n1, so the unperturbed energies n1 + n2 + 1 are non-decreasing.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
+    if not is_count(n_max) or n_max < 0:
+        raise ValueError("n_max must be a non-negative integer")
     total = np.repeat(np.arange(n_max + 1), np.arange(1, n_max + 2))
     n1 = np.arange(total.size) - total * (total + 1) // 2
     return n1, total - n1

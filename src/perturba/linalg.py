@@ -3,7 +3,11 @@
 The Jacobi diagonalizer here is the backend of `perturba ... --method
 oracle` and nothing else.  It returns (eigenvalues, eigenvectors) in the
 shape np.linalg.eigh does; its own tests cross-check it against an inertia
-bisection that shares no code with it, and against eigh.  The tests that
+bisection that shares no code with it, and against eigh.  Each rotation
+turns two contiguous rows of one array that holds the matrix beside its
+eigenvector rows, sets the two new diagonal entries by their closed forms
+and mirrors the two rows into their columns, so the matrix stays exactly
+symmetric; its stop target is relative to the matrix norm.  The tests that
 need exact eigenvalues as a reference for the perturbation solvers read
 LAPACK (np.linalg.eigvalsh) instead.  write_matrix_text is the writer of
 the plain-text matrix dump of `perturba matrix`.
@@ -12,6 +16,7 @@ the plain-text matrix dump of `perturba matrix`.
 from __future__ import annotations
 
 import enum
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -94,9 +99,10 @@ def check_state(state, n: int) -> None:
 
 
 def check_cap(name: str, value) -> None:
-    """Raise ValueError unless the solver cap value is an integer of at least 1.
+    """Raise ValueError unless value, a solver cap or a basis size, is an integer of at least 1.
 
-    A float or a bool would only fail, or count as 1, inside a solver loop.
+    A float or a bool would only fail, or count as 1, inside a solver loop
+    or a matrix builder.
     """
     if not is_count(value):
         raise ValueError(f"{name} must be an integer")
@@ -144,70 +150,70 @@ def jacobi_diagonalize(h) -> tuple[np.ndarray, np.ndarray]:
     eigenvalues ascending, and eigenvectors[:, i], orthonormal columns,
     belonging to eigenvalues[i].
 
-    Sweeps run over all (p, q) pairs in row order; a rotation is skipped when
-    the target entry is already negligible against the diagonal. Iteration
-    stops once the Frobenius norm of the off-diagonal part drops below
-    _JACOBI_TOL (scaled by the matrix norm).
+    Sweeps run over all (p, q) pairs in row order.  The eigenvectors are
+    kept as rows, beside the matrix a in one (n, 2n) array, so one rotation
+    of rows p and q (a copy, two scales and two axpys) turns both.  Then
+    a[p, p] and a[q, q] are set by their closed forms a_pp - t a_pq and
+    a_qq + t a_pq, a[p, q] is zeroed, and rows p and q are copied into
+    columns p and q: the matrix stays exactly symmetric, and no strided
+    column is rotated.  A rotation is skipped when its entry is too small
+    to move the off-diagonal norm.  Iteration stops once the Frobenius
+    norm of the off-diagonal part drops below _JACOBI_TOL times the
+    Frobenius norm of the matrix, with no absolute floor, so a matrix of
+    small norm is diagonalized to the same relative accuracy (down to
+    norms near 1e-154, where the squares in the norms underflow).
 
     Raises NonSymmetricError for input with symmetry defect above
     _SYMMETRY_TOL and NoConvergenceError if _MAX_SWEEPS sweeps do not reach
     the target.
     """
-    a = as_square_matrix(h).copy()
+    a = as_square_matrix(h)
     n = a.shape[0]
-    if symmetry_defect(a) > _SYMMETRY_TOL:
-        raise NonSymmetricError(
-            f"symmetry defect {symmetry_defect(a):.3e} exceeds {_SYMMETRY_TOL:.1e}"
-        )
-    v = np.eye(n)
+    defect = symmetry_defect(a)
+    if defect > _SYMMETRY_TOL:
+        raise NonSymmetricError(f"symmetry defect {defect:.3e} exceeds {_SYMMETRY_TOL:.1e}")
     if n < 2:
-        return np.diag(a).copy(), v
+        return np.diag(a).copy(), np.eye(n)
 
-    target = _JACOBI_TOL * max(float(np.linalg.norm(a)), 1.0)
+    av = np.hstack([a, np.eye(n)])
+    a = av[:, :n]
+    target = _JACOBI_TOL * float(np.linalg.norm(a))
+    # entries at or below this cannot move the off-norm; exact zeros included
+    skip = 0.5 * target / n
 
     def offnorm() -> float:
-        off = a - np.diag(np.diag(a))
-        return float(np.linalg.norm(off))
+        return float(np.linalg.norm(a - np.diag(np.diag(a))))
 
     for _ in range(_MAX_SWEEPS):
         if offnorm() <= target:
             break
         for p in range(n - 1):
+            rp = av[p]
             for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1.0e-300:
+                apq = rp.item(q)
+                if abs(apq) <= skip:
                     continue
-                # skip entries that can no longer move the off-norm
-                if abs(apq) <= 0.5 * target / n:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
+                rq = av[q]
+                app = rp.item(p)
+                aqq = rq.item(q)
+                theta = (aqq - app) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
+                old = rp.copy()
+                rp *= c
+                rp -= s * rq
+                rq *= c
+                rq += s * old
+                rp[p] = app - t * apq
+                rq[q] = aqq + t * apq
+                rp[q] = 0.0
+                a[:, p] = a[p]
+                a[:, q] = a[q]
     if offnorm() > target:
-        raise NoConvergenceError(
-            f"off-diagonal norm {offnorm():.3e} after {_MAX_SWEEPS} sweeps"
-        )
-
-    eigenvalues = np.diag(a).copy()
-    order = np.argsort(eigenvalues, kind="stable")
-    return eigenvalues[order], v[:, order]
+        raise NoConvergenceError(f"off-diagonal norm {offnorm():.3e} after {_MAX_SWEEPS} sweeps")
+    order = np.argsort(np.diag(a), kind="stable")
+    return np.diag(a)[order], av[order, n:].T
 
 
 def write_matrix_text(h, stream) -> None:

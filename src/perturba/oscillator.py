@@ -27,6 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .linalg import is_count
+
 TABLE_LIMIT = 500
 # numerical integration is trusted up to this smaller-index row at k = 0 ...
 QUAD_ROW_LIMIT = 100
@@ -168,8 +170,8 @@ def build_element_table(tag: str, max_n: int) -> np.ndarray:
     """The read-only, symmetric (max_n + 1) x (max_n + 1) element table of one operator tag."""
     if tag not in TAGS:
         raise ValueError(f"unknown operator tag {tag!r}, expected one of {TAGS}")
-    if max_n < 0:
-        raise IndexOutOfRangeError("max_n must be non-negative")
+    if not is_count(max_n) or max_n < 0:
+        raise IndexOutOfRangeError("max_n must be a non-negative integer")
     if max_n > TABLE_LIMIT:
         raise IndexOutOfRangeError(f"max_n above {TABLE_LIMIT} is not supported")
     if tag in _BANDS:

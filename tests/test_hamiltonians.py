@@ -23,9 +23,39 @@ from perturba.hamiltonians import (
 )
 from perturba.hamiltonians import _pair_index, _transform_f_g
 from perturba.linalg import symmetry_defect
-from perturba.oscillator import cached_element_table
+from perturba.oscillator import IndexOutOfRangeError, build_element_table, cached_element_table
 
 from helpers import dense_2d_matrices, element
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: build_linear_true(0.5, True), ValueError),
+        (lambda: build_quartic_synthetic(0.5, -0.35, True), ValueError),
+        (lambda: build_2d_synthetic(0.4, 0.2, True), ValueError),
+        (lambda: build_element_table("xi", True), IndexOutOfRangeError),
+        (lambda: build_quartic_true(0.5, 3.0), ValueError),
+        (lambda: build_linear_synthetic(0.5, 0.1, 3.0), ValueError),
+        (lambda: build_element_table("xi", 2.0), IndexOutOfRangeError),
+        (lambda: build_2d_true(0.4, 2.0), ValueError),
+        (lambda: triangular_pairs(2.5), ValueError),
+    ],
+    ids=[
+        "linear_true-bool",
+        "quartic_synthetic-bool",
+        "2d_synthetic-bool",
+        "element_table-bool",
+        "quartic_true-float",
+        "linear_synthetic-float",
+        "element_table-float",
+        "2d_true-float",
+        "triangular_pairs-float",
+    ],
+)
+def test_sizes_must_be_integers(build, error):
+    with pytest.raises(error, match="integer"):
+        build()
 
 
 class TestLinearBuilders:

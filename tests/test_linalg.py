@@ -121,6 +121,20 @@ class TestJacobiHasTheLapackShape:
             sign = 1.0 if v[:, i] @ v_ref[:, i] >= 0.0 else -1.0
             assert np.max(np.abs(sign * v[:, i] - v_ref[:, i])) <= 1e-8
 
+    @pytest.mark.parametrize(
+        "h",
+        [
+            1e-13 * np.array([[1.0, 1.0], [1.0, 2.0]]),
+            1e-8 * random_symmetric(np.random.default_rng(5), 20),
+        ],
+        ids=["2x2", "20x20"],
+    )
+    def test_small_norm_matrices_are_diagonalized(self, h):
+        # the stop target is relative to the norm, so a matrix of norm far
+        # below 1 is still diagonalized to rounding
+        w, _ = jacobi_diagonalize(h)
+        assert np.max(np.abs(w - np.linalg.eigvalsh(h))) <= 1e-13 * np.linalg.norm(h)
+
     @pytest.mark.parametrize("h", [np.zeros((0, 0)), np.array([[2.5]])], ids=["0x0", "1x1"])
     def test_small_inputs_give_eigh_shapes(self, h):
         w, v = jacobi_diagonalize(h)

@@ -26,6 +26,7 @@ _OVERFLOW = ["linear", "--beta", "1e160", "--dim", "4", "--method"]
 
 RUNS = [
     ["quartic", "--beta", "0.5,1.0", "--dim", "100", "--a2", "auto"],
+    ["quartic", "--beta", "0.5", "--dim", "200", "--method", "oracle"],
     ["osc2d", "--beta", "0.4", "--nmax", "39"],
     ["osc2d", "--beta", "0.4", "--nmax", "12", "--synthetic", "off"],
     ["osc2d", "--beta", "0.4", "--nmax", "6"],
