@@ -14,11 +14,9 @@ from .linalg import (
     SolveStatus,
     jacobi_diagonalize,
     residual_norm,
-    symmetry_defect,
     write_matrix_text,
 )
 from .oscillator import (
-    IndexOutOfRangeError,
     build_element_table,
     cached_element_table,
     write_table_csv,

@@ -37,7 +37,7 @@ from .linalg import (
     DimensionMismatchError,
     PerturbationSolution,
     SolveStatus,
-    is_count,
+    check_count,
     jacobi_diagonalize,
     residual_norm,
 )
@@ -60,19 +60,9 @@ class UnsupportedProblemError(ValueError):
     pass
 
 
-def _check_levels(*ns) -> None:
-    """Raise ValueError unless every quantum number is a non-negative integer.
-
-    The rule the solvers apply to state: a float or a bool names no level.
-    """
-    for n in ns:
-        if not is_count(n) or n < 0:
-            raise ValueError(f"quantum number {n!r} must be a non-negative integer")
-
-
 def exact_linear_energy(n: int, beta: float) -> float:
     """Exact level of the linearly displaced oscillator."""
-    _check_levels(n)
+    check_count("quantum number", n, 0)
     return (n + 0.5) - 0.5 * beta * beta
 
 
@@ -82,7 +72,8 @@ def exact_2d_energy(n1: int, n2: int, beta: float) -> float:
     The coupling rotates into normal modes with frequencies sqrt(1 + beta)
     and sqrt(1 - beta); beta above 1 has no bound spectrum.
     """
-    _check_levels(n1, n2)
+    check_count("quantum number", n1, 0)
+    check_count("quantum number", n2, 0)
     if not 0.0 <= beta <= 1.0:
         raise BetaOutOfRangeError(f"beta {beta} outside [0, 1]")
     return math.sqrt(1.0 + beta) * (n1 + 0.5) + math.sqrt(1.0 - beta) * (n2 + 0.5)
@@ -116,7 +107,7 @@ def quartic_reference_energy(n: int, beta: float) -> float:
 
     Raises NotTabulatedError off the beta grid or where no entry exists.
     """
-    _check_levels(n)
+    check_count("quantum number", n, 0)
     for key, row in QUARTIC_BENCHMARK.items():
         if abs(key - beta) <= 1.0e-9:
             if n < len(row) and row[n] is not None:
@@ -155,11 +146,7 @@ class ProblemInstance:
             raise UnsupportedProblemError(f"unknown problem {self.problem!r}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if not is_count(self.dim):
-            raise ValueError(f"dim {self.dim!r} is not an integer")
-        least = 0 if self.problem == "osc2d" else 1
-        if self.dim < least:
-            raise ValueError(f"{self.problem} dim must be at least {least}")
+        check_count(f"{self.problem} dim", self.dim, 0 if self.problem == "osc2d" else 1)
         _check_finite("beta", self.beta)
         if self.transform is not None:
             _check_finite("transform", self.transform)

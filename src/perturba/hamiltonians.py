@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import check_cap, is_count
+from .linalg import check_count
 from .oscillator import cached_element_table
 
 
@@ -56,7 +56,7 @@ def quartic_a3(beta: float) -> float:
 
 def build_linear_true(beta: float, dim: int) -> np.ndarray:
     """H0 + beta * xi on dim states: diagonal n + 1/2, single coupling band."""
-    check_cap("dim", dim)
+    check_count("dim", dim, 1)
     xi = cached_element_table("xi", dim - 1)
     return np.diag(np.arange(dim) + 0.5) + beta * xi
 
@@ -68,7 +68,7 @@ def build_linear_synthetic(beta: float, a: float, dim: int) -> np.ndarray:
     (beta + a) above and (beta - a) below the diagonal, so a = beta empties
     the lower triangle and puts the exact energies on the diagonal.
     """
-    check_cap("dim", dim)
+    check_count("dim", dim, 1)
     xi = cached_element_table("xi", dim - 1)
     diag = np.diag(np.arange(dim) + 0.5 - 0.5 * a * a)
     return diag + (beta + a) * np.triu(xi) + (beta - a) * np.tril(xi)
@@ -76,7 +76,7 @@ def build_linear_synthetic(beta: float, a: float, dim: int) -> np.ndarray:
 
 def build_quartic_true(beta: float, dim: int) -> np.ndarray:
     """H0 + beta * xi^4 on dim states; bands at |n - m| in {0, 2, 4}."""
-    check_cap("dim", dim)
+    check_count("dim", dim, 1)
     xi4 = cached_element_table("xi4", dim - 1)
     return np.diag(np.arange(dim) + 0.5) + beta * xi4
 
@@ -94,7 +94,7 @@ def build_quartic_synthetic(beta: float, a2: float, dim: int) -> np.ndarray:
 
     with a3 = sqrt(2 beta) / 3.
     """
-    check_cap("dim", dim)
+    check_count("dim", dim, 1)
     a3 = quartic_a3(beta)
     idx = np.arange(dim)
     nm = idx[:, None] - idx[None, :]
@@ -109,8 +109,7 @@ def triangular_pairs(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     Keeps every pair with n1 + n2 <= n_max, ordered by total quanta and then
     by n1, so the unperturbed energies n1 + n2 + 1 are non-decreasing.
     """
-    if not is_count(n_max) or n_max < 0:
-        raise ValueError("n_max must be a non-negative integer")
+    check_count("n_max", n_max, 0)
     total = np.repeat(np.arange(n_max + 1), np.arange(1, n_max + 2))
     n1 = np.arange(total.size) - total * (total + 1) // 2
     return n1, total - n1

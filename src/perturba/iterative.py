@@ -131,7 +131,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import PerturbationSolution, SolveStatus, as_square_matrix, check_cap, check_state
+from .linalg import PerturbationSolution, SolveStatus, as_square_matrix, check_count, check_state
 from .rspt import DIVERGENCE_GUARD, RELATIVE_TOL
 
 # A coefficient step below a few ulps of the state's own unit coefficient
@@ -159,7 +159,7 @@ def iterate_solve(h, state: int, max_iterations: int = 10000) -> PerturbationSol
 
     max_iterations caps the sweeps.
     """
-    check_cap("max_iterations", max_iterations)
+    check_count("max_iterations", max_iterations, 1)
     a = as_square_matrix(h)
     check_state(state, a.shape[0])
     block = _component(a != 0.0, state)
@@ -171,7 +171,7 @@ def iterate_solve_all(h, max_iterations: int = 10000) -> list[PerturbationSoluti
 
     Failures stay per-state.
     """
-    check_cap("max_iterations", max_iterations)
+    check_count("max_iterations", max_iterations, 1)
     a = as_square_matrix(h)
     results: list[PerturbationSolution | None] = [None] * a.shape[0]
     for block in _coupling_blocks(a):

@@ -7,10 +7,15 @@ bisection that shares no code with it, and against eigh.  Each rotation
 turns two contiguous rows of one array that holds the matrix beside its
 eigenvector rows, sets the two new diagonal entries by their closed forms
 and mirrors the two rows into their columns, so the matrix stays exactly
-symmetric; its stop target is relative to the matrix norm.  The tests that
-need exact eigenvalues as a reference for the perturbation solvers read
-LAPACK (np.linalg.eigvalsh) instead.  write_matrix_text is the writer of
-the plain-text matrix dump of `perturba matrix`.
+symmetric.  Its thresholds are relative: the symmetry defect is measured
+against the largest entry, the stop target against the matrix norm, and
+the rotations run on the matrix scaled by a power of two that brings its
+largest entry near 1, so tiny and huge matrices alike are diagonalized to
+rounding.  The tests that need exact eigenvalues as a reference for the
+perturbation solvers read LAPACK (np.linalg.eigvalsh) instead.
+write_matrix_text is the writer of the plain-text matrix dump of
+`perturba matrix`.  check_count is the one rule for every size, solver
+cap and quantum number in the package.
 """
 
 from __future__ import annotations
@@ -98,24 +103,17 @@ def check_state(state, n: int) -> None:
         raise IndexError(f"state {state} outside 0..{n - 1}")
 
 
-def check_cap(name: str, value) -> None:
-    """Raise ValueError unless value, a solver cap or a basis size, is an integer of at least 1.
+def check_count(name: str, value, least: int) -> None:
+    """Raise ValueError unless value is an integer, other than a bool, and value >= least.
 
-    A float or a bool would only fail, or count as 1, inside a solver loop
-    or a matrix builder.
+    The one rule for every size, solver cap and quantum number: a float or
+    a bool would only fail, or count as 1, inside a solver loop, a matrix
+    builder or a table.
     """
     if not is_count(value):
-        raise ValueError(f"{name} must be an integer")
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1")
-
-
-def symmetry_defect(h) -> float:
-    """Largest absolute difference |h[i,j] - h[j,i]| over all entries."""
-    a = as_square_matrix(h)
-    if a.shape[0] == 0:
-        return 0.0
-    return float(np.max(np.abs(a - a.T)))
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, not {value!r}")
 
 
 def residual_norm(h, energy: float, coefficients) -> float:
@@ -159,23 +157,32 @@ def jacobi_diagonalize(h) -> tuple[np.ndarray, np.ndarray]:
     column is rotated.  A rotation is skipped when its entry is too small
     to move the off-diagonal norm.  Iteration stops once the Frobenius
     norm of the off-diagonal part drops below _JACOBI_TOL times the
-    Frobenius norm of the matrix, with no absolute floor, so a matrix of
-    small norm is diagonalized to the same relative accuracy (down to
-    norms near 1e-154, where the squares in the norms underflow).
+    Frobenius norm of the matrix, with no absolute floor.
 
-    Raises NonSymmetricError for input with symmetry defect above
-    _SYMMETRY_TOL and NoConvergenceError if _MAX_SWEEPS sweeps do not reach
-    the target.
+    The symmetry test is relative as well, to the largest entry
+    peak = max|h[i, j]|.  The rotations run on h times 2**-e, the power of
+    two that brings peak into [0.5, 1), and the eigenvalues are scaled back
+    by 2**e.  A power of two scales exactly, and the squares inside the
+    norms of the scaled matrix can no longer all underflow, so a matrix of
+    any finite norm is diagonalized to the same relative accuracy.
+
+    Raises NonSymmetricError when max|h[i, j] - h[j, i]| exceeds
+    _SYMMETRY_TOL times peak (the message gives the unscaled defect), and
+    NoConvergenceError if _MAX_SWEEPS sweeps do not reach the target.
     """
     a = as_square_matrix(h)
     n = a.shape[0]
-    defect = symmetry_defect(a)
-    if defect > _SYMMETRY_TOL:
-        raise NonSymmetricError(f"symmetry defect {defect:.3e} exceeds {_SYMMETRY_TOL:.1e}")
     if n < 2:
         return np.diag(a).copy(), np.eye(n)
+    peak = float(np.max(np.abs(a)))
+    defect = float(np.max(np.abs(a - a.T)))
+    if defect > _SYMMETRY_TOL * peak:
+        raise NonSymmetricError(
+            f"symmetry defect {defect:.3e} exceeds {_SYMMETRY_TOL:.1e} times the largest entry"
+        )
+    e = math.frexp(peak)[1]
 
-    av = np.hstack([a, np.eye(n)])
+    av = np.hstack([np.ldexp(a, -e), np.eye(n)])
     a = av[:, :n]
     target = _JACOBI_TOL * float(np.linalg.norm(a))
     # entries at or below this cannot move the off-norm; exact zeros included
@@ -211,9 +218,10 @@ def jacobi_diagonalize(h) -> tuple[np.ndarray, np.ndarray]:
                 a[:, p] = a[p]
                 a[:, q] = a[q]
     if offnorm() > target:
-        raise NoConvergenceError(f"off-diagonal norm {offnorm():.3e} after {_MAX_SWEEPS} sweeps")
+        off = math.ldexp(offnorm(), e)
+        raise NoConvergenceError(f"off-diagonal norm {off:.3e} after {_MAX_SWEEPS} sweeps")
     order = np.argsort(np.diag(a), kind="stable")
-    return np.diag(a)[order], av[order, n:].T
+    return np.ldexp(np.diag(a)[order], e), av[order, n:].T
 
 
 def write_matrix_text(h, stream) -> None:

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import is_count
+from .linalg import check_count
 
 TABLE_LIMIT = 500
 # numerical integration is trusted up to this smaller-index row at k = 0 ...
@@ -36,10 +36,6 @@ QUAD_ROW_LIMIT = 100
 QUAD_BAND_LIMIT = 50
 
 TAGS = ("xi", "xi2", "xi3", "xi4", "lambda_xi", "lambda_xi3")
-
-
-class IndexOutOfRangeError(IndexError):
-    pass
 
 
 # The half-line integrals use a composite Gauss-Legendre rule: [0, cutoff]
@@ -72,8 +68,7 @@ def wavefunction_rows(n_max: int, xi) -> np.ndarray:
     starting from the normalized Gaussian ground state.  The result has
     shape (n_max + 1,) + shape of xi.
     """
-    if n_max < 0:
-        raise ValueError("quantum number must be non-negative")
+    check_count("n_max", n_max, 0)
     x = np.asarray(xi, dtype=float)
     rows = np.empty((n_max + 1,) + x.shape)
     rows[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
@@ -170,10 +165,9 @@ def build_element_table(tag: str, max_n: int) -> np.ndarray:
     """The read-only, symmetric (max_n + 1) x (max_n + 1) element table of one operator tag."""
     if tag not in TAGS:
         raise ValueError(f"unknown operator tag {tag!r}, expected one of {TAGS}")
-    if not is_count(max_n) or max_n < 0:
-        raise IndexOutOfRangeError("max_n must be a non-negative integer")
+    check_count("max_n", max_n, 0)
     if max_n > TABLE_LIMIT:
-        raise IndexOutOfRangeError(f"max_n above {TABLE_LIMIT} is not supported")
+        raise ValueError(f"max_n above {TABLE_LIMIT} is not supported")
     if tag in _BANDS:
         vals = _banded_table(tag, max_n)
     else:
@@ -183,9 +177,14 @@ def build_element_table(tag: str, max_n: int) -> np.ndarray:
     return vals
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=16, typed=True)
 def cached_element_table(tag: str, max_n: int) -> np.ndarray:
-    """Memoized build_element_table."""
+    """Memoized build_element_table.
+
+    The cache is typed: True, 1 and 1.0 are equal keys, so an untyped cache
+    would hand a bool or float max_n the integer's table without the size
+    check.
+    """
     return build_element_table(tag, max_n)
 
 

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PerturbationSolution, SolveStatus, as_square_matrix, check_cap, check_state
+from .linalg import PerturbationSolution, SolveStatus, as_square_matrix, check_count, check_state
 
 DIVERGENCE_GUARD = 1.0e12
 # Relative convergence tolerance of both solvers' energy and coefficient tests.
@@ -104,7 +104,7 @@ def rspt_solve(
     a reason in detail.  keep_history attaches the per-order corrections as
     an OrderHistory.
     """
-    check_cap("max_order", max_order)
+    check_count("max_order", max_order, 1)
     a = as_square_matrix(h)
     check_state(state, a.shape[0])
     return _expand(a, np.array([state]), max_order, keep_history)[0]
@@ -112,7 +112,7 @@ def rspt_solve(
 
 def rspt_solve_all(h, max_order: int = 1000) -> list[PerturbationSolution]:
     """Expand every state of h; failures stay per-state."""
-    check_cap("max_order", max_order)
+    check_count("max_order", max_order, 1)
     a = as_square_matrix(h)
     n = a.shape[0]
     per_stack = max(1, _STACK_ENTRIES // max(1, n * (max_order + 1)))

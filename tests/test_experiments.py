@@ -116,7 +116,7 @@ class TestQuarticReference:
 def test_reference_rejects_a_quantum_number_that_names_no_level(reference, args):
     # unchecked, 1.5 gave 1.875, (0.5, 0) gave 1.5705..., True counted as 1
     # and the quartic table failed on a float index with a bare TypeError
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ValueError, match="quantum number must be an integer"):
         reference(*args)
 
 
@@ -149,7 +149,7 @@ class TestProblemInstance:
 
     @pytest.mark.parametrize("dim", [2.5, 3.0, True, "3", None])
     def test_non_integer_dim(self, dim):
-        with pytest.raises(ValueError, match="not an integer"):
+        with pytest.raises(ValueError, match="linear dim must be an integer"):
             ProblemInstance(problem="linear", beta=0.5, dim=dim, method="iter")
 
     def test_numpy_integer_dim(self):

@@ -22,39 +22,52 @@ from perturba.hamiltonians import (
     verify_fg_structure,
 )
 from perturba.hamiltonians import _pair_index, _transform_f_g
-from perturba.linalg import symmetry_defect
-from perturba.oscillator import IndexOutOfRangeError, build_element_table, cached_element_table
+from perturba.oscillator import build_element_table, cached_element_table, wavefunction_rows
 
 from helpers import dense_2d_matrices, element
 
 
+def _cached_after_int(max_n):
+    # True == 1 == 1.0 as cache keys: the integer's table must not answer
+    cached_element_table("xi", 1)
+    return cached_element_table("xi", max_n)
+
+
 @pytest.mark.parametrize(
-    "build, error",
+    "build",
     [
-        (lambda: build_linear_true(0.5, True), ValueError),
-        (lambda: build_quartic_synthetic(0.5, -0.35, True), ValueError),
-        (lambda: build_2d_synthetic(0.4, 0.2, True), ValueError),
-        (lambda: build_element_table("xi", True), IndexOutOfRangeError),
-        (lambda: build_quartic_true(0.5, 3.0), ValueError),
-        (lambda: build_linear_synthetic(0.5, 0.1, 3.0), ValueError),
-        (lambda: build_element_table("xi", 2.0), IndexOutOfRangeError),
-        (lambda: build_2d_true(0.4, 2.0), ValueError),
-        (lambda: triangular_pairs(2.5), ValueError),
+        lambda: build_linear_true(0.5, True),
+        lambda: build_quartic_synthetic(0.5, -0.35, True),
+        lambda: build_2d_synthetic(0.4, 0.2, True),
+        lambda: build_element_table("xi", True),
+        lambda: wavefunction_rows(True, [0.0]),
+        lambda: _cached_after_int(True),
+        lambda: build_quartic_true(0.5, 3.0),
+        lambda: build_linear_synthetic(0.5, 0.1, 3.0),
+        lambda: build_element_table("xi", 2.0),
+        lambda: build_2d_true(0.4, 2.0),
+        lambda: triangular_pairs(2.5),
+        lambda: wavefunction_rows(2.0, [0.0]),
+        lambda: _cached_after_int(1.0),
     ],
     ids=[
         "linear_true-bool",
         "quartic_synthetic-bool",
         "2d_synthetic-bool",
         "element_table-bool",
+        "wavefunction_rows-bool",
+        "cached_table-bool",
         "quartic_true-float",
         "linear_synthetic-float",
         "element_table-float",
         "2d_true-float",
         "triangular_pairs-float",
+        "wavefunction_rows-float",
+        "cached_table-float",
     ],
 )
-def test_sizes_must_be_integers(build, error):
-    with pytest.raises(error, match="integer"):
+def test_sizes_must_be_integers(build):
+    with pytest.raises(ValueError, match="must be an integer, not"):
         build()
 
 
@@ -65,7 +78,7 @@ class TestLinearBuilders:
         assert h[0, 1] == pytest.approx(0.5 * math.sqrt(0.5), abs=1e-15)
         assert h[1, 2] == pytest.approx(0.5, abs=1e-15)
         assert h[0, 2] == 0.0
-        assert symmetry_defect(h) == 0.0
+        assert np.array_equal(h, h.T)
         # every band entry is exactly beta times the closed-form element
         beta, dim = 0.5, 30
         h = build_linear_true(beta, dim)
@@ -119,7 +132,7 @@ class TestQuarticBuilders:
         assert h[0, 1] == 0.0
         assert h[0, 3] == 0.0
         assert h[0, 5] == 0.0
-        assert symmetry_defect(h) == 0.0
+        assert np.array_equal(h, h.T)
         for n in range(dim):
             assert h[n, n] == (n + 0.5) + beta * element("xi4", n, n)
         for k in (2, 4):

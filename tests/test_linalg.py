@@ -1,4 +1,4 @@
-"""Core matrix utilities: Jacobi diagonalizer, defect measures, text format.
+"""Core matrix utilities: Jacobi diagonalizer, residual norm, text format.
 
 The Jacobi diagonalizer backs --method oracle; these tests check it against
 closed forms, its own invariants and an inertia bisection that shares no
@@ -23,7 +23,6 @@ from perturba.linalg import (
     as_square_matrix,
     jacobi_diagonalize,
     residual_norm,
-    symmetry_defect,
     write_matrix_text,
 )
 from perturba.rspt import rspt_solve, rspt_solve_all
@@ -193,6 +192,31 @@ class TestJacobiInvariants:
         with pytest.raises(DimensionMismatchError):
             jacobi_diagonalize(np.ones((2, 3)))
 
+    def test_symmetry_defect_in_message(self):
+        h = np.array([[0.0, 1.0], [4.0, 0.0]])
+        with pytest.raises(NonSymmetricError, match="symmetry defect 3.000e[+]00"):
+            jacobi_diagonalize(h)
+
+    def test_tiny_matrix_is_rotated(self):
+        # the squares in the norms underflow below about 1e-154: unscaled,
+        # the diagonal (1e-165, 2e-165) came back as the eigenvalues
+        eigenvalues, v = jacobi_diagonalize(1e-165 * np.array([[1.0, 1.0], [1.0, 2.0]]))
+        exact = 1e-165 * np.array([(3.0 - math.sqrt(5.0)) / 2.0, (3.0 + math.sqrt(5.0)) / 2.0])
+        assert np.allclose(eigenvalues, exact, rtol=1e-14, atol=0.0)
+        assert np.allclose(v.T @ v, np.eye(2), atol=1e-14)
+
+    def test_tiny_non_symmetric_matrix_is_refused(self):
+        # a defect of 3e-165 passes an absolute 1e-12; it is 0.75 of the largest entry
+        with pytest.raises(NonSymmetricError, match="symmetry defect 3.000e-165"):
+            jacobi_diagonalize(1e-165 * np.array([[0.0, 1.0], [4.0, 0.0]]))
+
+    def test_large_matrix_symmetric_to_rounding(self):
+        # the defect is one ulp of 1e10, 1.907e-06, above an absolute 1e-12
+        h = 1e10 * np.array([[1.0, 1.0], [1.0 + 2.0**-52, 2.0]])
+        eigenvalues, _ = jacobi_diagonalize(h)
+        exact = 1e10 * np.array([(3.0 - math.sqrt(5.0)) / 2.0, (3.0 + math.sqrt(5.0)) / 2.0])
+        assert np.allclose(eigenvalues, exact, rtol=1e-14, atol=0.0)
+
     def test_sweep_budget_exhausted(self, monkeypatch):
         h = random_symmetric(np.random.default_rng(5), 6)
         jacobi_diagonalize(h)  # converges within the real budget
@@ -202,15 +226,6 @@ class TestJacobiInvariants:
 
 
 class TestDefectMeasures:
-    def test_symmetry_defect_value(self):
-        h = np.array([[0.0, 1.0], [4.0, 0.0]])
-        assert symmetry_defect(h) == pytest.approx(3.0, abs=0.0)
-
-    def test_symmetry_defect_zero_for_symmetric(self):
-        rng = np.random.default_rng(3)
-        h = random_symmetric(rng, 5)
-        assert symmetry_defect(h) == 0.0
-
     def test_residual_norm_exact_pair(self):
         h = np.diag([1.0, 2.0, 3.0])
         assert residual_norm(h, 2.0, [0.0, 1.0, 0.0]) == 0.0

@@ -26,7 +26,6 @@ from perturba.oscillator import (
     QUAD_ROW_LIMIT,
     TABLE_LIMIT,
     TAGS,
-    IndexOutOfRangeError,
     _cutoff,
     _quadrature_element,
     build_element_table,
@@ -262,7 +261,7 @@ class TestElementTables:
             build_element_table("xi5", 10)
 
     def test_build_rejects_oversized(self):
-        with pytest.raises(IndexOutOfRangeError):
+        with pytest.raises(ValueError, match=f"max_n above {TABLE_LIMIT} is not supported"):
             build_element_table("xi", TABLE_LIMIT + 1)
 
     def test_cached_table_is_cached(self):

@@ -41,6 +41,11 @@ RUNS = [
     *([*_OVERFLOW, method] for method in ("iter", "rspt", "oracle")),
     ["linear", "--beta", "1e154", "--dim", "5", "--method", "iter"],
     ["matrix", "--problem", "linear", "--beta", "1e160", "--dim", "4"],
+    # sizes below their least value, or a table above its cap, write nothing
+    ["linear", "--beta", "0.5", "--dim", "0"],
+    ["osc2d", "--beta", "0.4", "--nmax", "-1"],
+    ["elements", "--op", "xi", "--max-n", "-1"],
+    ["elements", "--op", "xi", "--max-n", "501"],
 ]
 
 
