@@ -16,7 +16,6 @@ from .experiments import (
     METHODS,
     PROBLEMS,
     ProblemInstance,
-    RunResult,
     build_instance_matrix,
     exact_2d_energy,
     run_instance,
@@ -94,23 +93,17 @@ def _instance(args, problem: str, beta: float) -> ProblemInstance:
     )
 
 
-def _run_rows(args, problem: str) -> tuple[list[RunResult], int]:
-    # every instance is validated before the first one is built
-    instances = [_instance(args, problem, beta) for beta in args.beta]
-    results = [run_instance(instance) for instance in instances]
-    failed = any(not r.all_converged for r in results)
-    return results, (2 if failed else 0)
-
-
 def _cmd_bench(args) -> int:
     problem = args.command
     if problem == "osc2d":
         # the exact column needs a bound spectrum: reject such beta before solving
         for beta in args.beta:
             exact_2d_energy(0, 0, beta)
-    results, code = _run_rows(args, problem)
+    # every instance is validated before the first one is built
+    instances = [_instance(args, problem, beta) for beta in args.beta]
+    results = [run_instance(instance) for instance in instances]
     _write_out(args.out, lambda s: write_results_csv(results, s))
-    return code
+    return 0 if all(r.all_converged for r in results) else 2
 
 
 def _cmd_elements(args) -> int:

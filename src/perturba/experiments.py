@@ -8,11 +8,13 @@ The three benchmark problems have independent reference routes:
 
 run_instance builds the requested matrix, dispatches to a solver and
 returns a RunResult: the ProblemInstance plus one StateRow per state, with
-the eigenpair residual measured against the very matrix that was solved.
+the eigenpair residuals measured against the very matrix that was solved,
+by one linalg.residual_norm call on the run's stack of coefficient rows.
 Method "oracle" diagonalizes the untransformed matrix with
 linalg.jacobi_diagonalize, its only caller, and reports each eigenpair as a
 state converged in 0 iterations; the tests take their exact references
-from LAPACK instead.
+from LAPACK instead.  The three reference energies refuse a bool or
+non-finite beta by the rule ProblemInstance applies to it.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .hamiltonians import (
 from .iterative import iterate_solve_all
 from .linalg import (
     DimensionMismatchError,
-    PerturbationSolution,
     SolveStatus,
     check_count,
     jacobi_diagonalize,
@@ -60,9 +61,19 @@ class UnsupportedProblemError(ValueError):
     pass
 
 
+def _check_finite(name: str, value) -> None:
+    """Raise ValueError unless value is a finite real number other than a bool."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} {value!r} is not a real number")
+    # inf or nan would only surface as invalid products in the builders
+    if not math.isfinite(value):
+        raise ValueError(f"{name} {value} is not finite")
+
+
 def exact_linear_energy(n: int, beta: float) -> float:
     """Exact level of the linearly displaced oscillator."""
     check_count("quantum number", n, 0)
+    _check_finite("beta", beta)
     return (n + 0.5) - 0.5 * beta * beta
 
 
@@ -74,6 +85,7 @@ def exact_2d_energy(n1: int, n2: int, beta: float) -> float:
     """
     check_count("quantum number", n1, 0)
     check_count("quantum number", n2, 0)
+    _check_finite("beta", beta)
     if not 0.0 <= beta <= 1.0:
         raise BetaOutOfRangeError(f"beta {beta} outside [0, 1]")
     return math.sqrt(1.0 + beta) * (n1 + 0.5) + math.sqrt(1.0 - beta) * (n2 + 0.5)
@@ -108,21 +120,13 @@ def quartic_reference_energy(n: int, beta: float) -> float:
     Raises NotTabulatedError off the beta grid or where no entry exists.
     """
     check_count("quantum number", n, 0)
+    _check_finite("beta", beta)
     for key, row in QUARTIC_BENCHMARK.items():
         if abs(key - beta) <= 1.0e-9:
             if n < len(row) and row[n] is not None:
                 return row[n]
             raise NotTabulatedError(f"no benchmark entry for state {n} at beta {key}")
     raise NotTabulatedError(f"beta {beta} not on the benchmark grid")
-
-
-def _check_finite(name: str, value) -> None:
-    """Raise ValueError unless value is a finite real number other than a bool."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        raise ValueError(f"{name} {value!r} is not a real number")
-    # inf or nan would only surface as invalid products in the builders
-    if not math.isfinite(value):
-        raise ValueError(f"{name} {value} is not finite")
 
 
 @dataclass(frozen=True)
@@ -202,29 +206,19 @@ def run_instance(instance: ProblemInstance) -> RunResult:
     """Build, solve and package one benchmark run."""
     h = build_instance_matrix(instance)
     if instance.method == "oracle":
-        eigenvalues, eigenvectors = jacobi_diagonalize(h)
-        solutions = [
-            PerturbationSolution(
-                state=i,
-                energy=float(lam),
-                coefficients=eigenvectors[:, i],
-                iterations=0,
-                status=SolveStatus.CONVERGED,
-            )
-            for i, lam in enumerate(eigenvalues)
-        ]
+        energies, vectors = jacobi_diagonalize(h)
+        coefficients = vectors.T  # one eigenvector per row
+        outcomes = [(SolveStatus.CONVERGED, 0)] * energies.size
     else:
         solve_all = rspt_solve_all if instance.method == "rspt" else iterate_solve_all
         solutions = solve_all(h)
+        energies = np.array([s.energy for s in solutions])
+        coefficients = np.array([s.coefficients for s in solutions])
+        outcomes = [(s.status, s.iterations) for s in solutions]
+    residuals = residual_norm(h, energies, coefficients)
     rows = tuple(
-        StateRow(
-            state=s.state,
-            energy=s.energy,
-            status=s.status,
-            iterations=s.iterations,
-            residual=residual_norm(h, s.energy, s.coefficients),
-        )
-        for s in solutions
+        StateRow(state, float(e), status, iterations, float(r))
+        for state, (e, (status, iterations), r) in enumerate(zip(energies, outcomes, residuals))
     )
     return RunResult(instance=instance, rows=rows)
 

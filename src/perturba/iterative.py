@@ -58,7 +58,7 @@ sweep per coupling block over all its states, and a column leaves the sweep
 at the end of the batch (below) in which it stops.  Both see the same block
 submatrix, so they give the same result per state.  A column stops when
 
-1. converged: |E - E_prev| <= rspt.RELATIVE_TOL * |E + E_prev| / 2, and
+1. converged: |E - E_prev| <= RELATIVE_TOL * |E + E_prev| / 2, and
    the same test passes for every coefficient.  A coefficient step that
    misses its test by less than 4 ulps of 1, the state's own coefficient,
    is rounding noise and passes: tiny coefficients jitter at that level in
@@ -71,13 +71,23 @@ submatrix, so they give the same result per state.  A column stops when
    from two sweeps back.  The update depends only on the committed column and
    both tests are symmetric, so it would alternate unconverged until the cap
    (ALGORITHM_FAILURE);
-3. guard: a new coefficient is non-finite or exceeds rspt.DIVERGENCE_GUARD in
+3. guard: a new coefficient is non-finite or exceeds DIVERGENCE_GUARD in
    magnitude (ALGORITHM_FAILURE);
 4. cap: max_iterations sweeps have run (MAX_ITERATIONS_EXCEEDED).
 
 The first rule in this order that holds wins.  The guard keeps the last
 committed column and its energy, so every reported column is finite; the
-failures carry their reason in detail.
+failures carry their reason in detail.  RELATIVE_TOL and DIVERGENCE_GUARD
+are linalg's, the expansion's as well.
+
+Every rule is relative or reads the dimensionless coefficients, so h
+times a power of two gives the same sweeps, statuses and coefficients, and
+energies scaled by that power.  A block whose squared Frobenius norm is
+below 1 is swept as the block times 2**-e, with e the exponent of its
+largest entry, as the Jacobi oracle does: otherwise d^2 + 4 H[k, l] y[l]
+and the squared norm of the residual gate underflow on entries near
+1e-162, still inside the input range.  Its energies and the residual of a
+stalled column are scaled back by 2**e.
 
 The rules are tested once per batch of sweeps, not after every sweep: the
 batch keeps every column it computes, the rules are evaluated on all of its
@@ -95,8 +105,8 @@ so the cycle test compares a column with the one from two sweeps back only
 where their sums are equal or nan; the batch carries the last two sums as
 well as the last two columns, so this holds on its first sweep too.  The
 guard first compares the batch's largest and smallest coefficient with
-rspt.DIVERGENCE_GUARD, and takes the per-column maxima only when either
-is outside or nan.
+DIVERGENCE_GUARD, and takes the per-column maxima only when either is
+outside or nan.
 
 The sweeps run in one stack object per set of running columns, built when
 the sweep starts and rebuilt when a column stops: the constants of the
@@ -129,10 +139,12 @@ limit.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from .linalg import DIVERGENCE_GUARD, RELATIVE_TOL
 from .linalg import PerturbationSolution, SolveStatus, as_square_matrix, check_count, check_state
-from .rspt import DIVERGENCE_GUARD, RELATIVE_TOL
 
 # A coefficient step below a few ulps of the state's own unit coefficient
 # is rounding noise, not movement (stop rule 1).
@@ -355,7 +367,13 @@ def _sweep(
     # a multithreaded BLAS call per solve cost the 400 x 400 osc2d blocks
     # more than its flops (np.linalg.norm of a block took milliseconds while
     # the other core was busy).
-    residual_bound = _RESIDUAL_TOL * np.sqrt(np.einsum("ij,ij->", a, a))
+    norm2 = np.einsum("ij,ij->", a, a)
+    # a tiny block is swept scaled up by a power of two, exactly
+    scale = math.frexp(float(np.max(np.abs(a))))[1] if norm2 < 1.0 else 0
+    if scale:
+        np.ldexp(a, -scale, out=a)
+        norm2 = np.einsum("ij,ij->", a, a)
+    residual_bound = _RESIDUAL_TOL * np.sqrt(norm2)
     rotations = _rotate_tied_groups(a)
     results: list[PerturbationSolution | None] = [None] * states.size
 
@@ -368,7 +386,7 @@ def _sweep(
         coefficients[block] = column
         results[st.slots[j]] = PerturbationSolution(
             state=int(block[st.ks[j]]),
-            energy=float(e),
+            energy=math.ldexp(e, scale),
             coefficients=coefficients,
             iterations=it,
             status=status,
@@ -435,7 +453,7 @@ def _sweep(
                         finish(j, news[s, j], e1[s, j], sweep, SolveStatus.CONVERGED)
                     else:  # nan-safe
                         finish(j, news[s, j], e1[s, j], sweep, SolveStatus.ALGORITHM_FAILURE,
-                               f"stalled: residual {residual:.2e}")
+                               f"stalled: residual {math.ldexp(residual, scale):.2e}")
                 elif cycling[s, j]:
                     finish(j, news[s, j], e1[s, j], sweep, SolveStatus.ALGORITHM_FAILURE,
                            f"period-2 cycle at sweep {sweep}")

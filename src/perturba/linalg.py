@@ -14,8 +14,15 @@ largest entry near 1, so tiny and huge matrices alike are diagonalized to
 rounding.  The tests that need exact eigenvalues as a reference for the
 perturbation solvers read LAPACK (np.linalg.eigvalsh) instead.
 write_matrix_text is the writer of the plain-text matrix dump of
-`perturba matrix`.  check_count is the one rule for every size, solver
-cap and quantum number in the package.
+`perturba matrix`.
+
+The rules that both perturbation solvers and the harness share live here
+and nowhere else: the relative tolerance RELATIVE_TOL of both solvers'
+convergence tests, the divergence guard DIVERGENCE_GUARD on their
+coefficients, check_count, the one rule for every size, solver cap and
+quantum number in the package, and residual_norm, which measures the
+defects of a whole run, one per coefficient row, each rounded as when its
+row is measured alone.
 """
 
 from __future__ import annotations
@@ -26,6 +33,12 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# Relative convergence tolerance of both solvers' energy and coefficient tests.
+RELATIVE_TOL = 1.0e-10
+# Both solvers stop a state whose coefficient correction, or coefficient, is
+# non-finite or larger than this in magnitude.
+DIVERGENCE_GUARD = 1.0e12
 
 
 class SolveStatus(enum.Enum):
@@ -116,24 +129,33 @@ def check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be at least {least}, not {value!r}")
 
 
-def residual_norm(h, energy: float, coefficients) -> float:
-    """Relative eigenpair defect ||H c - E c|| / ||c||."""
+def residual_norm(h, energies, coefficients):
+    """Relative eigenpair defects ||H c - E c|| / ||c||, one per coefficient row.
+
+    coefficients is one vector, with one energy, or a stack of rows, with
+    one energy per row.  Returns a float for one vector and an array of one
+    defect per row for a stack.  Each row is one BLAS gemv and two ddot
+    calls, so its defect has the bits it has when passed alone.
+    """
     a = as_square_matrix(h)
     if np.iscomplexobj(coefficients):
         raise ValueError("coefficient vector must be real, not complex")
     c = np.asarray(coefficients, dtype=float)
-    if c.shape != (a.shape[0],):
+    e = np.asarray(energies, dtype=float)
+    if c.ndim not in (1, 2) or c.shape[-1:] != a.shape[:1] or e.shape != c.shape[:-1]:
         raise DimensionMismatchError(
-            f"coefficient vector of length {c.shape} does not fit matrix of dim {a.shape[0]}"
+            f"coefficients {c.shape} with energies {e.shape} do not fit matrix of dim {a.shape[0]}"
         )
     # Coefficients from a diverged solve can overflow, in their own norm as
     # well; the caller only needs a finite-or-inf defect number, not
     # per-entry arithmetic warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        nrm = float(np.linalg.norm(c))
-        if nrm == 0.0:
+        nrm = np.sqrt(np.vecdot(c, c))
+        if (nrm == 0.0).any():
             raise ValueError("coefficient vector is zero")
-        return float(np.linalg.norm(a @ c - energy * c) / nrm)
+        r = np.matvec(a, c) - e[..., None] * c
+        defects = np.sqrt(np.vecdot(r, r)) / nrm
+    return float(defects) if c.ndim == 1 else defects
 
 
 _JACOBI_TOL = 1.0e-12

@@ -14,8 +14,8 @@ at which one of these rules holds, and the first rule in this order wins:
 
 1. degenerate: some l != k with H[l, l] == H[k, k] has a nonzero numerator
    (ALGORITHM_FAILURE);
-2. guard: |E(a)| or some |c(a)[l]| exceeds DIVERGENCE_GUARD
-   (ALGORITHM_FAILURE);
+2. guard: some c(a)[l] is non-finite or exceeds DIVERGENCE_GUARD in
+   magnitude (ALGORITHM_FAILURE);
 3. converged: |E(a)| <= RELATIVE_TOL * |E| and |c(a)[l]| <= RELATIVE_TOL *
    |c[l]| for every l, E and c being the sums through order a (CONVERGED);
 4. cap: a == max_order (MAX_ITERATIONS_EXCEEDED).
@@ -33,10 +33,19 @@ The running sums through each order are one np.add.accumulate from the
 carried sums, which adds left to right and so rounds as total + c(a) does.
 The degenerate rule reads c(a) on the tied entries, where the gap is
 replaced by 1 and c(a) is the numerator itself.  The guard first compares
-the batch's largest |E(a)| and its largest and smallest correction with
-DIVERGENCE_GUARD, and takes the per-order maxima only when one of them is
-outside or nan.  A column computed past its guard order can overflow; those
-orders are dropped, so their warnings are suppressed.
+the batch's largest and smallest correction with DIVERGENCE_GUARD, and
+takes the per-order maxima only when either is outside or nan.  A column
+computed past its guard order can overflow; those orders are dropped, so
+their warnings are suppressed.
+
+The guard is the iteration's, on the coefficients alone, and both solvers
+read it and RELATIVE_TOL from linalg.  A guard on |E(a)| would add no
+safety: once c(a-1) has passed, |E(a)| = |W[k, :] c(a-1)| is at most
+sqrt(n) ||W||_F DIVERGENCE_GUARD, which is finite.  It would also be the
+one absolute threshold of the expansion: without it, every rule compares
+like with like, so h times a power of two gives the same orders, statuses
+and coefficients, and energies scaled by that power, as long as no
+product underflows.
 
 The target states of one call are expanded together, one coefficient column
 per state, so an order costs three numpy calls on the (states, n) rows,
@@ -59,11 +68,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import DIVERGENCE_GUARD, RELATIVE_TOL
 from .linalg import PerturbationSolution, SolveStatus, as_square_matrix, check_count, check_state
 
-DIVERGENCE_GUARD = 1.0e12
-# Relative convergence tolerance of both solvers' energy and coefficient tests.
-RELATIVE_TOL = 1.0e-10
 # The details of the two failures, rules 1 and 2 below.
 _DEGENERATE = "degenerate diagonal with nonzero coupling"
 _BLOWN = f"correction magnitude exceeded {DIVERGENCE_GUARD:.1e}"
@@ -207,18 +214,15 @@ def _expand(
             sums_c = np.concatenate((total_c[:, None], cs), axis=1)
             np.add.accumulate(sums_c, axis=1, out=sums_c)
             sums_e = np.add.accumulate(np.concatenate((total_e[:, None], es), axis=1), axis=1)
-            abs_e = np.abs(es)
-            converged = abs_e <= RELATIVE_TOL * np.abs(sums_e[:, 1:])
+            converged = np.abs(es) <= RELATIVE_TOL * np.abs(sums_e[:, 1:])
             if converged.any():
                 hit = np.nonzero(converged)
                 small = np.abs(cs[hit]) <= RELATIVE_TOL * np.abs(sums_c[:, 1:][hit])
                 converged[hit] = small.all(axis=1)
-            guard = DIVERGENCE_GUARD
-            if abs_e.max() <= guard and -guard <= cs.min() and cs.max() <= guard:
+            if -DIVERGENCE_GUARD <= cs.min() and cs.max() <= DIVERGENCE_GUARD:
                 blown = np.zeros_like(converged)
             else:  # some bound fails or is nan
-                # fmax skips a nan on one side, as `|E(a)| > guard or max |c(a)| > guard` does
-                blown = np.fmax(abs_e, np.abs(cs).max(axis=2)) > guard
+                blown = ~(np.abs(cs).max(axis=2) <= DIVERGENCE_GUARD)  # nan-safe
             stop = converged | blown
             degenerate = None
             if t.zero_gap is not None:

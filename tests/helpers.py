@@ -191,7 +191,7 @@ def reference_rspt(h: np.ndarray, state: int, max_order: int):
         c_a[others & ~tied] = numerator[others & ~tied] / gap[others & ~tied]
         if np.any(numerator[tied] != 0.0):
             stop = ("algorithm_failure", "degenerate diagonal with nonzero coupling")
-        elif abs(e_a) > 1.0e12 or np.abs(c_a).max() > 1.0e12:
+        elif not np.abs(c_a).max() <= 1.0e12:
             stop = ("algorithm_failure", "correction magnitude exceeded 1.0e+12")
         else:
             e[a], c[a] = e_a, c_a

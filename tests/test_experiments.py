@@ -120,6 +120,23 @@ def test_reference_rejects_a_quantum_number_that_names_no_level(reference, args)
         reference(*args)
 
 
+@pytest.mark.parametrize(
+    "reference, args, message",
+    [
+        (exact_linear_energy, (2, True), "not a real number"),
+        (exact_linear_energy, (2, math.nan), "not finite"),
+        (exact_2d_energy, (0, 0, True), "not a real number"),
+        (exact_2d_energy, (0, 0, math.inf), "not finite"),
+        (quartic_reference_energy, (2, True), "not a real number"),
+        (quartic_reference_energy, (2, math.nan), "not finite"),
+    ],
+)
+def test_reference_rejects_a_beta_that_names_no_coupling(reference, args, message):
+    # unchecked, True gave the beta = 1.0 levels: 2.0 and 5.1793
+    with pytest.raises(ValueError, match=f"beta .* is {message}"):
+        reference(*args)
+
+
 class TestProblemInstance:
     def test_constants(self):
         assert PROBLEMS == ("linear", "quartic", "osc2d")

@@ -27,8 +27,7 @@ from perturba.iterative import (
     iterate_solve,
     iterate_solve_all,
 )
-from perturba.linalg import SolveStatus, residual_norm
-from perturba.rspt import DIVERGENCE_GUARD
+from perturba.linalg import DIVERGENCE_GUARD, SolveStatus, residual_norm
 
 
 def random_dominant(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -14,7 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perturba import linalg
-from perturba.hamiltonians import build_linear_true, build_quartic_true
+from perturba.hamiltonians import (
+    build_2d_synthetic,
+    build_2d_true,
+    build_linear_true,
+    build_quartic_synthetic,
+    build_quartic_true,
+)
 from perturba.iterative import iterate_solve, iterate_solve_all
 from perturba.linalg import (
     DimensionMismatchError,
@@ -243,6 +249,66 @@ class TestDefectMeasures:
     def test_residual_norm_rejects_bad_shape(self):
         with pytest.raises(DimensionMismatchError):
             residual_norm(np.eye(3), 1.0, [1.0, 2.0])
+        with pytest.raises(DimensionMismatchError):
+            residual_norm(np.eye(2), [1.0, 2.0], np.eye(2)[:1])
+        with pytest.raises(DimensionMismatchError):
+            residual_norm(np.eye(2), 1.0, np.ones((1, 1, 2)))
+
+    @pytest.mark.parametrize("n", [30, 200, 820])
+    def test_stacked_rows_have_the_bits_of_single_rows(self, n):
+        rng = np.random.default_rng(n)
+        h, energies, rows = rng.normal(size=(n, n)), rng.normal(size=n), rng.normal(size=(n, n))
+        stacked = residual_norm(h, energies, rows)
+        assert stacked.shape == (n,)
+        alone = [residual_norm(h, e, c) for e, c in zip(energies, rows)]
+        assert stacked.tobytes() == np.array(alone).tobytes()
+
+    def test_a_zero_row_in_a_stack_is_refused(self):
+        with pytest.raises(ValueError, match="zero"):
+            residual_norm(np.eye(2), [1.0, 1.0], [[1.0, 0.0], [0.0, 0.0]])
+
+
+def _solve_key(sol):
+    return sol.status, sol.iterations, sol.detail, sol.coefficients.tobytes()
+
+
+_SCALED_MATRICES = {
+    "linear": lambda: build_linear_true(0.5, 30),
+    "quartic": lambda: build_quartic_synthetic(0.5, -0.35, 40),
+    "osc2d": lambda: build_2d_synthetic(0.4, 0.2, 8),
+}
+
+
+class TestPowerOfTwoScaling:
+    """Every method gives h times 2**e the results of h, energies times 2**e.
+
+    All their thresholds are relative, so a power of two, which scales
+    exactly, moves no rule: e = 20 tests the expansion's guard, which once
+    bounded |E(a)| by 1e12, and e = -900, entries near 1e-270, the sweep's
+    squares, which once underflowed.
+    """
+
+    @pytest.mark.parametrize("solve", [rspt_solve_all, iterate_solve_all])
+    @pytest.mark.parametrize("problem", sorted(_SCALED_MATRICES))
+    def test_solvers(self, solve, problem):
+        h = _SCALED_MATRICES[problem]()
+        base = solve(h)
+        for e in (-900, 20, 400):
+            scaled = solve(np.ldexp(h, e))
+            assert [_solve_key(s) for s in scaled] == [_solve_key(s) for s in base]
+            assert [s.energy for s in scaled] == [np.ldexp(s.energy, e) for s in base]
+
+    @pytest.mark.parametrize(
+        "h",
+        [build_linear_true(0.5, 30), build_quartic_true(0.5, 40), build_2d_true(0.4, 8)],
+        ids=["linear", "quartic", "osc2d"],
+    )
+    def test_jacobi(self, h):
+        values, vectors = jacobi_diagonalize(h)
+        for e in (-900, 20, 400):
+            scaled_values, scaled_vectors = jacobi_diagonalize(np.ldexp(h, e))
+            assert scaled_values.tobytes() == np.ldexp(values, e).tobytes()
+            assert scaled_vectors.tobytes() == vectors.tobytes()
 
 
 class TestMatrixText:

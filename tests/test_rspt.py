@@ -121,6 +121,13 @@ class TestFailureModes:
         assert sol.status is SolveStatus.ALGORITHM_FAILURE
         assert f"{DIVERGENCE_GUARD:.1e}" in sol.detail
 
+    def test_no_absolute_bound_on_the_energy(self):
+        # a bound of 1e12 on |E(a)| stopped the scaled matrix at order 2
+        h = np.array([[1.0, 0.1], [0.1, 2.0]])
+        for scale in (1.0, 1e100):
+            sol = rspt_solve(scale * h, 0)
+            assert (sol.status, sol.iterations) == (SolveStatus.CONVERGED, 12)
+
     def test_max_order_cap(self):
         h = np.array([[1.0, 0.4], [0.4, 2.0]])
         sol = rspt_solve(h, 0, max_order=3)
@@ -201,15 +208,25 @@ DEGENERATE_LADDER = np.diag([0.0, 1.0, 2.0, 2.0, 4.0]) + 0.01 * (np.ones((5, 5))
 def batch_edge_blocks() -> tuple[np.ndarray, list[int]]:
     """Uncoupled blocks whose first states stop on the edges of the 16-order batches.
 
-    Blocks 0-5 are [[0, g], [g, 1]]: their state 0 converges at order 17, 8
-    and 16 for g = 0.126, 0.053 and 0.213 and passes the guard at order 8, 16
-    and 17 for g = 25.87, 3.86 and 3.32.  Blocks 6-8 are paths of 8, 16 and 17
-    couplings 0.5 whose two ends tie, degenerate at the order of their
-    length.  Block j sits on the diagonal offset 100 j, so no two blocks tie;
-    the energy test is relative, so the offsets of the converging blocks
-    count.  Returns the matrix and the first state of each block.
+    Blocks 0 and 4-5 are [[0, g], [g, 1]]: their state 0 converges at order
+    17, 8 and 16 for g = 0.126, 0.053 and 0.213.  Blocks 1-3 are paths
+    [[0, g, 0], [g, 1, g], [0, g, 2]]: their state 0 passes the guard at
+    order 8, 16 and 17 for g = 32.16, 5.06 and 4.6.  A 2 x 2 block could not
+    do that at order 8 or 16: its coefficient corrections vanish at every
+    even order, and the guard reads the coefficients only.  Blocks 6-8 are
+    paths of 8, 16 and 17 couplings 0.5 whose two ends tie, degenerate at
+    the order of their length.  Block j sits on the diagonal offset 100 j,
+    so no two blocks tie; the energy test is relative, so the offsets of the
+    converging blocks count.  Returns the matrix and the first state of
+    each block.
     """
-    blocks = [np.array([[0.0, g], [g, 1.0]]) for g in (0.126, 25.87, 3.86, 3.32, 0.053, 0.213)]
+    def pair(g):
+        return np.array([[0.0, g], [g, 1.0]])
+
+    def path(g):
+        return np.array([[0.0, g, 0.0], [g, 1.0, g], [0.0, g, 2.0]])
+
+    blocks = [pair(0.126), path(32.16), path(5.06), path(4.6), pair(0.053), pair(0.213)]
     for length in (8, 16, 17):
         path = np.diag(np.r_[0.0, np.arange(1.0, length), 0.0])
         i = np.arange(length)

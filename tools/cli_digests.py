@@ -27,6 +27,9 @@ _OVERFLOW = ["linear", "--beta", "1e160", "--dim", "4", "--method"]
 RUNS = [
     ["quartic", "--beta", "0.5,1.0", "--dim", "100", "--a2", "auto"],
     ["quartic", "--beta", "0.5", "--dim", "200", "--method", "oracle"],
+    # the expansion's guard stops some of these states
+    ["quartic", "--beta", "0.5,1.0", "--dim", "100", "--a2", "auto", "--method", "rspt"],
+    ["quartic", "--beta", "0.5", "--dim", "100", "--method", "rspt"],
     ["osc2d", "--beta", "0.4", "--nmax", "39"],
     ["osc2d", "--beta", "0.4", "--nmax", "12", "--synthetic", "off"],
     ["osc2d", "--beta", "0.4", "--nmax", "6"],
