@@ -65,8 +65,9 @@ submatrix, so they give the same result per state.  A column stops when
    relative terms forever.  The column is then CONVERGED if its residual
    |H c - E c| / |c| on the block is at most 1e-9 times the block's
    Frobenius norm; otherwise it has stalled on no eigenpair
-   (ALGORITHM_FAILURE).  The rotation below is orthogonal, so the residual
-   is the same in the rotated basis;
+   (ALGORITHM_FAILURE).  The residual is measured by linalg.residual_rows,
+   the rule of residual_norm.  The rotation below is orthogonal, so the
+   residual is the same in the rotated basis;
 2. cycle: it failed the tests and its new column equals exactly the column
    from two sweeps back.  The update depends only on the committed column and
    both tests are symmetric, so it would alternate unconverged until the cap
@@ -104,9 +105,9 @@ equal sums_l H[k, l] c[l], whichever stack width computed them (below),
 so the cycle test compares a column with the one from two sweeps back only
 where their sums are equal or nan; the batch carries the last two sums as
 well as the last two columns, so this holds on its first sweep too.  The
-guard first compares the batch's largest and smallest coefficient with
-DIVERGENCE_GUARD, and takes the per-column maxima only when either is
-outside or nan.
+guard is linalg.beyond_guard, the expansion's as well: it first compares
+the batch's largest and smallest coefficient with DIVERGENCE_GUARD, and
+takes the per-column maxima only when either is outside or nan.
 
 The sweeps run in one stack object per set of running columns, built when
 the sweep starts and rebuilt when a column stops: the constants of the
@@ -143,8 +144,8 @@ import math
 
 import numpy as np
 
-from .linalg import DIVERGENCE_GUARD, RELATIVE_TOL
-from .linalg import PerturbationSolution, SolveStatus, as_square_matrix, check_count, check_state
+from .linalg import DIVERGENCE_GUARD, RELATIVE_TOL, PerturbationSolution, SolveStatus
+from .linalg import as_square_matrix, beyond_guard, check_count, check_state, residual_rows
 
 # A coefficient step below a few ulps of the state's own unit coefficient
 # is rounding noise, not movement (stop rule 1).
@@ -363,10 +364,10 @@ def _sweep(
     iterate_solve.
     """
     a = h[np.ix_(block, block)]
-    # The residual gate's block-sized products go through einsum, not BLAS:
-    # a multithreaded BLAS call per solve cost the 400 x 400 osc2d blocks
-    # more than its flops (np.linalg.norm of a block took milliseconds while
-    # the other core was busy).
+    # The block's squared norm goes through einsum, not BLAS: a multithreaded
+    # BLAS call per solve cost the 400 x 400 osc2d blocks more than its flops
+    # (np.linalg.norm of a block took milliseconds while the other core was
+    # busy).
     norm2 = np.einsum("ij,ij->", a, a)
     # a tiny block is swept scaled up by a power of two, exactly
     scale = math.frexp(float(np.max(np.abs(a))))[1] if norm2 < 1.0 else 0
@@ -430,11 +431,8 @@ def _sweep(
             if cycling.any():
                 hit = np.nonzero(cycling)
                 cycling[hit] = (news[hit] == cols[:-2][hit]).all(axis=1)
-            stop = converged | cycling
-            blown = None
-            if not (-DIVERGENCE_GUARD <= news.min() and news.max() <= DIVERGENCE_GUARD):
-                blown = ~(np.abs(news).max(axis=2) <= DIVERGENCE_GUARD)  # nan-safe
-                stop |= blown
+            blown = beyond_guard(news)
+            stop = converged | cycling | blown
             if it + steps == cap:
                 stop[-1] = True
 
@@ -447,8 +445,7 @@ def _sweep(
                 if converged[s, j]:
                     c = news[s, j].copy()
                     c[st.ks[j]] = 1.0
-                    r = np.einsum("ij,j->i", a, c) - e1[s, j] * c
-                    residual = np.linalg.norm(r) / np.linalg.norm(c)
+                    residual = residual_rows(a, e1[s, j], c)
                     if residual <= residual_bound:
                         finish(j, news[s, j], e1[s, j], sweep, SolveStatus.CONVERGED)
                     else:  # nan-safe
@@ -457,7 +454,7 @@ def _sweep(
                 elif cycling[s, j]:
                     finish(j, news[s, j], e1[s, j], sweep, SolveStatus.ALGORITHM_FAILURE,
                            f"period-2 cycle at sweep {sweep}")
-                elif blown is not None and blown[s, j]:
+                elif blown[s, j]:
                     finish(j, olds[s, j], e0[s, j], sweep, SolveStatus.ALGORITHM_FAILURE,
                            f"coefficient magnitude exceeded {DIVERGENCE_GUARD:.1e}")
                 else:

@@ -18,11 +18,13 @@ write_matrix_text is the writer of the plain-text matrix dump of
 
 The rules that both perturbation solvers and the harness share live here
 and nowhere else: the relative tolerance RELATIVE_TOL of both solvers'
-convergence tests, the divergence guard DIVERGENCE_GUARD on their
-coefficients, check_count, the one rule for every size, solver cap and
-quantum number in the package, and residual_norm, which measures the
-defects of a whole run, one per coefficient row, each rounded as when its
-row is measured alone.
+convergence tests; the divergence guard DIVERGENCE_GUARD on their
+coefficients, which only beyond_guard compares with data; check_count, the
+one rule for every size, solver cap and quantum number in the package; and
+the residual ||H c - E c|| / ||c||, computed only by residual_rows.
+residual_norm validates a whole run and measures it through residual_rows,
+one defect per coefficient row, each rounded as when its row is measured
+alone; the iteration's residual gate calls residual_rows on its block.
 """
 
 from __future__ import annotations
@@ -134,8 +136,8 @@ def residual_norm(h, energies, coefficients):
 
     coefficients is one vector, with one energy, or a stack of rows, with
     one energy per row.  Returns a float for one vector and an array of one
-    defect per row for a stack.  Each row is one BLAS gemv and two ddot
-    calls, so its defect has the bits it has when passed alone.
+    defect per row for a stack.  The inputs are validated here and
+    measured by residual_rows.
     """
     a = as_square_matrix(h)
     if np.iscomplexobj(coefficients):
@@ -150,12 +152,35 @@ def residual_norm(h, energies, coefficients):
     # well; the caller only needs a finite-or-inf defect number, not
     # per-entry arithmetic warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        nrm = np.sqrt(np.vecdot(c, c))
-        if (nrm == 0.0).any():
+        if (np.vecdot(c, c) == 0.0).any():
             raise ValueError("coefficient vector is zero")
-        r = np.matvec(a, c) - e[..., None] * c
-        defects = np.sqrt(np.vecdot(r, r)) / nrm
+        defects = residual_rows(a, e, c)
     return float(defects) if c.ndim == 1 else defects
+
+
+def residual_rows(a: np.ndarray, energies, coefficients: np.ndarray):
+    """||a c - E c|| / ||c|| for each row c of coefficients, without validation.
+
+    a is a square float array, coefficients one vector or a stack of rows
+    of its dimension, and energies one value per row.  Each row is one BLAS
+    gemv and two ddot calls, so its defect has the bits it has when passed
+    alone.
+    """
+    r = np.matvec(a, coefficients) - np.expand_dims(energies, -1) * coefficients
+    return np.sqrt(np.vecdot(r, r)) / np.sqrt(np.vecdot(coefficients, coefficients))
+
+
+def beyond_guard(x: np.ndarray) -> np.ndarray:
+    """Whether a row of x (its last axis) holds a non-finite or a too large entry.
+
+    An entry is too large above DIVERGENCE_GUARD in magnitude.  The per-row
+    maxima are taken only when the smallest or largest entry of x is
+    outside the bound or nan; otherwise the result is all False, of shape
+    x.shape[:-1].
+    """
+    if -DIVERGENCE_GUARD <= x.min() and x.max() <= DIVERGENCE_GUARD:
+        return np.zeros(x.shape[:-1], dtype=bool)
+    return ~(np.abs(x).max(axis=-1) <= DIVERGENCE_GUARD)  # nan-safe
 
 
 _JACOBI_TOL = 1.0e-12

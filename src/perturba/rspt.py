@@ -32,14 +32,14 @@ gives.  A batch also ends at the cap and at the last allocated history row.
 The running sums through each order are one np.add.accumulate from the
 carried sums, which adds left to right and so rounds as total + c(a) does.
 The degenerate rule reads c(a) on the tied entries, where the gap is
-replaced by 1 and c(a) is the numerator itself.  The guard first compares
-the batch's largest and smallest correction with DIVERGENCE_GUARD, and
-takes the per-order maxima only when either is outside or nan.  A column
-computed past its guard order can overflow; those orders are dropped, so
-their warnings are suppressed.
+replaced by 1 and c(a) is the numerator itself.  The guard is
+linalg.beyond_guard, which first compares the batch's largest and smallest
+correction with DIVERGENCE_GUARD, and takes the per-order maxima only when
+either is outside or nan.  A column computed past its guard order can
+overflow; those orders are dropped, so their warnings are suppressed.
 
 The guard is the iteration's, on the coefficients alone, and both solvers
-read it and RELATIVE_TOL from linalg.  A guard on |E(a)| would add no
+take it and RELATIVE_TOL from linalg.  A guard on |E(a)| would add no
 safety: once c(a-1) has passed, |E(a)| = |W[k, :] c(a-1)| is at most
 sqrt(n) ||W||_F DIVERGENCE_GUARD, which is finite.  It would also be the
 one absolute threshold of the expansion: without it, every rule compares
@@ -68,8 +68,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DIVERGENCE_GUARD, RELATIVE_TOL
-from .linalg import PerturbationSolution, SolveStatus, as_square_matrix, check_count, check_state
+from .linalg import DIVERGENCE_GUARD, RELATIVE_TOL, PerturbationSolution, SolveStatus
+from .linalg import as_square_matrix, beyond_guard, check_count, check_state
 
 # The details of the two failures, rules 1 and 2 below.
 _DEGENERATE = "degenerate diagonal with nonzero coupling"
@@ -219,10 +219,7 @@ def _expand(
                 hit = np.nonzero(converged)
                 small = np.abs(cs[hit]) <= RELATIVE_TOL * np.abs(sums_c[:, 1:][hit])
                 converged[hit] = small.all(axis=1)
-            if -DIVERGENCE_GUARD <= cs.min() and cs.max() <= DIVERGENCE_GUARD:
-                blown = np.zeros_like(converged)
-            else:  # some bound fails or is nan
-                blown = ~(np.abs(cs).max(axis=2) <= DIVERGENCE_GUARD)  # nan-safe
+            blown = beyond_guard(cs)
             stop = converged | blown
             degenerate = None
             if t.zero_gap is not None:

@@ -27,8 +27,10 @@ from perturba.linalg import (
     NoConvergenceError,
     NonSymmetricError,
     as_square_matrix,
+    beyond_guard,
     jacobi_diagonalize,
     residual_norm,
+    residual_rows,
     write_matrix_text,
 )
 from perturba.rspt import rspt_solve, rspt_solve_all
@@ -266,6 +268,36 @@ class TestDefectMeasures:
     def test_a_zero_row_in_a_stack_is_refused(self):
         with pytest.raises(ValueError, match="zero"):
             residual_norm(np.eye(2), [1.0, 1.0], [[1.0, 0.0], [0.0, 0.0]])
+
+    def test_residual_rows_is_the_rule_of_residual_norm(self):
+        # the iteration's gate passes one row with a numpy scalar energy
+        rng = np.random.default_rng(7)
+        h, rows = rng.normal(size=(40, 40)), rng.normal(size=(3, 40))
+        energies = rng.normal(size=3)
+        for e, c in zip(energies, rows):
+            assert residual_rows(h, e, c) == residual_norm(h, e, c)
+        stacked = residual_norm(h, energies, rows)
+        assert residual_rows(h, energies, rows).tobytes() == stacked.tobytes()
+
+
+class TestDivergenceGuard:
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, np.nextafter(1e12, np.inf), -np.nextafter(1e12, np.inf)]
+    )
+    def test_trips_on_its_row_only(self, bad):
+        x = np.zeros((2, 3, 4))
+        x[1, 2, 3] = bad
+        expected = np.zeros((2, 3), dtype=bool)
+        expected[1, 2] = True
+        np.testing.assert_array_equal(beyond_guard(x), expected)
+
+    def test_the_bound_itself_passes(self):
+        x = np.array([[1e12, -1e12], [0.0, 1.0]])
+        np.testing.assert_array_equal(beyond_guard(x), [False, False])
+
+    def test_in_bounds_batch_is_all_false(self):
+        blown = beyond_guard(np.random.default_rng(0).normal(size=(16, 5, 30)))
+        assert blown.shape == (16, 5) and blown.dtype == bool and not blown.any()
 
 
 def _solve_key(sol):
