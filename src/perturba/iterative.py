@@ -109,17 +109,26 @@ guard is linalg.beyond_guard, the expansion's as well: it first compares
 the batch's largest and smallest coefficient with DIVERGENCE_GUARD, and
 takes the per-column maxima only when either is outside or nan.
 
+A column carries c[k] as 1, and the sweeps read the block B with its
+diagonal zeroed, so that one matrix-vector product gives the whole linear
+part of the update, (B c)[l] = H[l, k] + sum_{j != k, l} H[l, j] c[j], and
+y = B c - c * (sum_l H[k, l] c[l] - H[k, l] c[l]).  On entry k, q is set
+to -inf and the vertex root to 1, so the update writes the 1 back.  The
+diagonal is zeroed in place on the block, which is a copy of the caller's
+matrix, and put back only around the residual gate, which reads the block
+itself.
+
 The sweeps run in one stack object per set of running columns, built when
 the sweep starts and rebuilt when a column stops: the constants of the
 update, a column history sized for a 64-sweep batch, every intermediate
 array, and the views each sweep reads and writes, bound once, so that a
-sweep is 17 numpy calls (19 on a block with an exact tie).  Each batch
+sweep is 14 numpy calls (16 on a block with an exact tie).  Each batch
 takes its length from the sweeps run since the last stop and fills the
 front of that history.  A batch starts by copying the last two columns of
 the previous one and their sums_l H[k, l] c[l] to the front of the
 history, and takes every energy from those sums.  Each elementwise
-product, diag(H) * c, H[k, l] * c, 4 H[k, l] * y and 2 s * y, is its own
-call on factors stored at the shape of the columns: numpy takes about
+product, H[k, l] * c, 4 H[k, l] * y and 2 s * y, is its own call on
+factors stored at the shape of the columns: numpy takes about
 three times as long over a call that broadcasts its operands.  A stack of
 one column, which is every iterate_solve and an iterate_solve_all
 block once one column is left running, works on 1-D rows with 0-d sums, and
@@ -248,7 +257,8 @@ def _rotate_tied_groups(a: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 class _Stack:
     """The running columns of one coupling block: constants, buffers and carry.
 
-    Row j of every m x n array belongs to the state at position ks[j] of the
+    a is the block with its diagonal zeroed, diag that diagonal.  Row j of
+    every m x n array belongs to the state at position ks[j] of the
     block, whose result goes to slots[j].  Everything here depends only on
     that set of states, so the stack is reused from batch to batch and
     rebuilt only when a column stops.  cols[s + 2] is the column after
@@ -262,13 +272,14 @@ class _Stack:
     column, so a column is rounded alike whether it runs alone or not.
     """
 
-    def __init__(self, a: np.ndarray, ks: np.ndarray, slots: np.ndarray, carry, cap: int) -> None:
+    def __init__(
+        self, a: np.ndarray, diag: np.ndarray, ks: np.ndarray, slots: np.ndarray, carry, cap: int
+    ) -> None:
         m, n = ks.size, a.shape[0]
-        diag = np.diag(a)
         self.ks, self.slots = ks, slots
         own = np.arange(m) * n + ks  # entry k of each state's row, flat
         self.ek = diag[ks]
-        hk = a[ks]  # H[k, l]
+        hk = a[ks]  # H[k, l], 0 at l = k
         gap = self.ek[:, None] - diag
         sign = np.where(gap == 0.0, np.sign(ks[:, None] - np.arange(n)), np.sign(gap))
         abs_gap = np.abs(gap)
@@ -280,12 +291,12 @@ class _Stack:
         vertex = -gap / np.where(hk != 0.0, 2.0 * hk, 1.0)
         # 2 s y / (sqrt(q) + |d|) rounds as s y / ((sqrt(q) + |d|) / 2), one product fewer
         hk4, sign2 = 4.0 * hk, 2.0 * sign
-        # On entry k, q = -inf + 0 y[k] < 0, so the vertex root writes its +0.0
-        # wherever y[k] is finite.  Up to a column's first stop it is: y[k] =
-        # H[k, k] + sum_l H[k, l] c[l] on an input column that passed the guard.
+        # On entry k, q = -inf + 0 y[k] < 0, so the vertex root writes the
+        # column's 1 back wherever y[k] is finite.  Up to a column's first
+        # stop it is: y[k] is the mat-vec's sum_l H[k, l] c[l] less the dot
+        # product's, on an input column that passed the guard.
         gap2.ravel()[own] = -np.inf
-        hk4.ravel()[own] = 0.0
-        vertex.ravel()[own] = 0.0
+        vertex.ravel()[own] = 1.0
 
         # The history holds a long batch, at most cap sweeps, the number left,
         # and about _BATCH_ENTRIES coefficients.
@@ -302,9 +313,7 @@ class _Stack:
         else:
             self.matvec, self.vecdot = np.matvec, np.vecdot
             row, total, out = (m, n), (m, 1), (m,)
-        self.diag = np.tile(diag, (m, 1)).reshape(row)
         self.hk, self.hk4 = hk.reshape(row), hk4.reshape(row)
-        self.hck = np.ascontiguousarray(a[:, ks].T).reshape(row)  # H[l, k]
         self.sign2 = sign2.reshape(row)
         self.tie_sign = sign.reshape(row) if tied.any() else None
         self.gap2, self.abs_gap = gap2.reshape(row), abs_gap.reshape(row)
@@ -319,18 +328,15 @@ class _Stack:
 
     def run(self, a: np.ndarray, steps: int) -> None:
         """Sweep steps times from cols[1]: fill cols[2 : steps + 2] and hcs[2 : steps + 2]."""
-        diag, hk, hk4, sign2, hck = self.diag, self.hk, self.hk4, self.sign2, self.hck
+        hk, hk4, sign2 = self.hk, self.hk4, self.sign2
         gap2, abs_gap, vertex, tie_sign = self.gap2, self.abs_gap, self.vertex, self.tie_sign
         first, second, work, mask = self.first, self.second, self.work, self.mask
         matvec, vecdot = self.matvec, self.vecdot
         multiply, subtract, add = np.multiply, np.subtract, np.add
         sqrt, divide, equal, less, putmask = np.sqrt, np.divide, np.equal, np.less, np.putmask
         for c, hc, new, hc_new in self.sweeps[:steps]:
-            matvec(a, c, work)
-            multiply(diag, c, first)
+            matvec(a, c, work)  # H[l, k] + sum_{j != k, l} H[l, j] c[j]
             multiply(hk, c, second)
-            subtract(work, first, work)
-            add(hck, work, work)
             subtract(hc, second, second)
             multiply(c, second, second)
             subtract(work, second, work)  # y
@@ -376,15 +382,18 @@ def _sweep(
         norm2 = np.einsum("ij,ij->", a, a)
     residual_bound = _RESIDUAL_TOL * np.sqrt(norm2)
     rotations = _rotate_tied_groups(a)
+    # The sweeps read the block with its diagonal zeroed, the residual gate
+    # with it put back, both in place, so that a solve holds one copy of the
+    # block.
+    diag = a.diagonal().copy()
+    np.fill_diagonal(a, 0.0)
     results: list[PerturbationSolution | None] = [None] * states.size
 
     def finish(j: int, column, e: float, it: int, status, detail=None) -> None:
-        column = column.copy()
-        column[st.ks[j]] = 1.0
-        for g, v in rotations:
-            column[g] = v @ column[g]
         coefficients = np.zeros(h.shape[0])
         coefficients[block] = column
+        for g, v in rotations:
+            coefficients[block[g]] = v @ column[g]
         results[st.slots[j]] = PerturbationSolution(
             state=int(block[st.ks[j]]),
             energy=math.ldexp(e, scale),
@@ -400,14 +409,15 @@ def _sweep(
     # arithmetic warnings are suppressed rather than surfaced per sweep.  The
     # vertex roots of tiny couplings in _Stack can overflow too.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # the last two committed columns and their sums_l H[k, l] c[l]; entry
-        # k implicitly 1, kept 0.  nan never compares equal, so no column
-        # can match the first one on the first sweep.  The sums are -0.0, as
-        # x + -0.0 is x for every x: the first energy is H[k, k] to the bit.
+        # the last two committed columns and their sums_l H[k, l] c[l], with
+        # c[k] = 1.  nan never compares equal, so no column can match the
+        # first one on the first sweep.  The sums are -0.0, as x + -0.0 is x
+        # for every x: the first energy is H[k, k] to the bit.
         two_cols = np.zeros((2, states.size, a.shape[0]))
         two_cols[0] = np.nan
+        two_cols[1, np.arange(states.size), states] = 1.0
         carry = two_cols, np.full((2, states.size), -0.0)
-        st = _Stack(a, states, np.arange(states.size), carry, cap)
+        st = _Stack(a, diag, states, np.arange(states.size), carry, cap)
         it = ran = 0  # ran: sweeps since the last stop
         while True:
             steps = min(len(st.sweeps), cap - it, _BATCH if ran < _LONG_AFTER else _LONG_BATCH)
@@ -443,9 +453,9 @@ def _sweep(
                 s = first[j]
                 sweep = int(it + s + 1)
                 if converged[s, j]:
-                    c = news[s, j].copy()
-                    c[st.ks[j]] = 1.0
-                    residual = residual_rows(a, e1[s, j], c)
+                    np.fill_diagonal(a, diag)
+                    residual = residual_rows(a, e1[s, j], news[s, j])
+                    np.fill_diagonal(a, 0.0)
                     if residual <= residual_bound:
                         finish(j, news[s, j], e1[s, j], sweep, SolveStatus.CONVERGED)
                     else:  # nan-safe
@@ -474,4 +484,4 @@ def _sweep(
             ks, slots = st.ks[keep], st.slots[keep]
             carry = cols[-2:, keep], hcs[-2:, keep]
             del st, cols, news, olds
-            st = _Stack(a, ks, slots, carry, cap - it)
+            st = _Stack(a, diag, ks, slots, carry, cap - it)

@@ -105,9 +105,10 @@ def reference_iterate(h: np.ndarray, state: int, max_iterations: int):
     """The quadratic coefficient iteration one sweep at a time, on matrices without rotated ties.
 
     Written from the iterative module's docstring: the update on the
-    state's coupling block, with the tie-break sign(k - l) and c[l] = s
-    where the denominator is 0, then stop rules 1-4 tested after every
-    sweep, with the residual gate of stop rule 1.  A tied group that is
+    state's coupling block with its diagonal zeroed and c[k] carried as 1,
+    with the tie-break sign(k - l) and c[l] = s where the denominator is 0,
+    then stop rules 1-4 tested after every sweep, with the residual gate of
+    stop rule 1 on the block with its diagonal.  A tied group that is
     symmetric and coupled within itself would be rotated by the solver
     first; that step is not written here.
     Returns (status value, iterations, detail, energy, coefficients).
@@ -119,26 +120,26 @@ def reference_iterate(h: np.ndarray, state: int, max_iterations: int):
     block = np.flatnonzero(member)
     a = h[np.ix_(block, block)]
     k = int(np.flatnonzero(block == state)[0])
+    b = a - np.diag(np.diag(a))
     d = a[k, k] - np.diag(a)
     s = np.where(d == 0.0, np.sign(k - np.arange(block.size)), np.sign(d))
     c, two_back, e, hc = np.zeros(block.size), np.full(block.size, np.nan), a[k, k], 0.0
+    c[k] = 1.0
     residual_bound = 1.0e-9 * np.sqrt(np.einsum("ij,ij->", a, a))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for it in range(1, max_iterations + 1):
-            y = a[:, k] + (a @ c - np.diag(a) * c) - c * (hc - a[k] * c)
-            q = d * d + 4.0 * a[k] * y
+            y = b @ c - c * (hc - b[k] * c)
+            q = d * d + 4.0 * b[k] * y
             denominator = 0.5 * (np.sqrt(np.maximum(q, 0.0)) + np.abs(d))
             root = np.where(denominator == 0.0, s, s * y / denominator)
-            new = np.where(q >= 0.0, root, -d / (2.0 * a[k]))
-            new[k] = 0.0
-            new_hc = a[k] @ new
+            new = np.where(q >= 0.0, root, -d / (2.0 * b[k]))
+            new[k] = 1.0
+            new_hc = b[k] @ new
             new_e = a[k, k] + new_hc
             settled = np.abs(c - new) - 0.5e-10 * np.abs(c + new) <= 4.0 * np.finfo(float).eps
             if abs(new_e - e) <= 0.5e-10 * abs(new_e + e) and settled.all():
-                column = new.copy()
-                column[k] = 1.0
-                r = np.einsum("ij,j->i", a, column) - new_e * column
-                residual = np.linalg.norm(r) / np.linalg.norm(column)
+                r = np.einsum("ij,j->i", a, new) - new_e * new
+                residual = np.linalg.norm(r) / np.linalg.norm(new)
                 if residual <= residual_bound:
                     stop = ("converged", None, new_e, new)
                 else:
@@ -154,7 +155,6 @@ def reference_iterate(h: np.ndarray, state: int, max_iterations: int):
                 continue
             coefficients = np.zeros(h.shape[0])
             coefficients[block] = stop[3]
-            coefficients[state] = 1.0
             return stop[0], it, stop[1], float(stop[2]), coefficients
 
 

@@ -1,0 +1,98 @@
+"""Time the benchmark's solve phases on a parent checkout and on this tree, alternating.
+
+Both src/perturba packages are loaded into one interpreter, under the names
+perturba_parent and perturba_change, so that the two sides share the
+process, its allocator and its BLAS threads: a per-process offset of a few
+percent, which separate benchmark runs can show, cancels here.  Each of 31
+rounds times the three solve phases on both sides, the side that goes
+first alternating from round to round:
+
+- quartic-grid: iterate_solve on states 0-7 of the dim-100 transformed
+  quartic at beta 0.1, 0.5 and 1.0 (24 calls);
+- linear: iterate_solve_all(build_linear_true(0.5, 30));
+- osc2d-levels: iterate_solve on states 0-5 of build_2d_synthetic(0.4, 0.2, 39).
+
+Each side builds its matrices with its own builders before the clock
+starts.  For each phase it prints the median over the rounds of the
+change/parent time ratio and the number of rounds the change was faster.
+It adds to the alternating perfbench/run.py pairs, not replaces them:
+those measure whole processes end to end.
+
+    python3 tools/ab_solves.py PARENT_ROOT
+
+PARENT_ROOT is the root of a checkout of the parent commit, the directory
+holding its src/perturba.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROUNDS = 31
+HERE = Path(__file__).resolve().parent.parent
+
+
+def load(name: str, root: Path):
+    """Import root/src/perturba as the package name, with its modules."""
+    package = root / "src" / "perturba"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return (
+        importlib.import_module(f"{name}.hamiltonians"),
+        importlib.import_module(f"{name}.iterative"),
+    )
+
+
+def phases(hamiltonians, iterative) -> dict:
+    """The three solve phases of one side, each a function of no arguments."""
+    grid = [
+        hamiltonians.build_quartic_synthetic(b, hamiltonians.default_quartic_a2(b), 100)
+        for b in (0.1, 0.5, 1.0)
+    ]
+    linear = hamiltonians.build_linear_true(0.5, 30)
+    osc2d = hamiltonians.build_2d_synthetic(0.4, 0.2, 39)
+    return {
+        "quartic-grid": lambda: [iterative.iterate_solve(h, k) for h in grid for k in range(8)],
+        "linear": lambda: iterative.iterate_solve_all(linear),
+        "osc2d-levels": lambda: [iterative.iterate_solve(osc2d, k) for k in range(6)],
+    }
+
+
+def seconds(solve) -> float:
+    t0 = time.perf_counter()
+    solve()
+    return time.perf_counter() - t0
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python3 tools/ab_solves.py PARENT_ROOT", file=sys.stderr)
+        return 2
+    sides = [phases(*load("perturba_parent", Path(argv[0]).resolve())),
+             phases(*load("perturba_change", HERE))]
+    for side in sides:
+        for solve in side.values():
+            solve()  # warm-up
+    ratios = {name: [] for name in sides[0]}
+    for i in range(ROUNDS):
+        order = (0, 1) if i % 2 == 0 else (1, 0)
+        for name, rows in ratios.items():
+            t = {s: seconds(sides[s][name]) for s in order}
+            rows.append(t[1] / t[0])
+    for name, rows in ratios.items():
+        wins = sum(r < 1.0 for r in rows)
+        print(f"{name:13} median change/parent {statistics.median(rows):.3f}  wins {wins}/{ROUNDS}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
