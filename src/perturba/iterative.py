@@ -106,8 +106,14 @@ so the cycle test compares a column with the one from two sweeps back only
 where their sums are equal or nan; the batch carries the last two sums as
 well as the last two columns, so this holds on its first sweep too.  The
 guard is linalg.beyond_guard, the expansion's as well: it first compares
-the batch's largest and smallest coefficient with DIVERGENCE_GUARD, and
-takes the per-column maxima only when either is outside or nan.
+the batch's largest and smallest coefficient with DIVERGENCE_GUARD
+(linalg.within_guard), and takes the per-column maxima only when either
+is outside or nan.  Most batches stop no column, so a batch first runs a
+quick test: the energy test, the equal sums, the cap, and only if none of
+them holds, within_guard.  Only a batch with a candidate goes on to the
+full pass, which tests the candidates whole, calls beyond_guard and finds
+each column's first stop; so a batch with a candidate still runs the
+guard's two reductions once.
 
 A column carries c[k] as 1, and the sweeps read the block B with its
 diagonal zeroed, so that one matrix-vector product gives the whole linear
@@ -122,7 +128,8 @@ The sweeps run in one stack object per set of running columns, built when
 the sweep starts and rebuilt when a column stops: the constants of the
 update, a column history sized for a 64-sweep batch, every intermediate
 array, and the views each sweep reads and writes, bound once, so that a
-sweep is 14 numpy calls (16 on a block with an exact tie).  Each batch
+sweep is 14 numpy calls (16 on a block with an exact tie), none of them
+through an __array_function__ dispatcher.  Each batch
 takes its length from the sweeps run since the last stop and fills the
 front of that history.  A batch starts by copying the last two columns of
 the previous one and their sums_l H[k, l] c[l] to the front of the
@@ -132,10 +139,16 @@ factors stored at the shape of the columns: numpy takes about
 three times as long over a call that broadcasts its operands.  A stack of
 one column, which is every iterate_solve and an iterate_solve_all
 block once one column is left running, works on 1-D rows with 0-d sums, and
-its two products are np.dot; a wider stack hands its m x n rows to
-np.matvec and np.vecdot as they are.  Both products run the BLAS gemv and
+its two products are the dot methods of the block and of the row H[k, :],
+bound once per stack; a wider stack hands its m x n rows to np.matvec and
+np.vecdot, gufuncs, as they are.  Both products run the BLAS gemv and
 ddot kernels for each column, so a column is rounded the same whichever
-stack it runs in.
+stack it runs in.  At 14 calls, the cost left in a one-column sweep was
+not their number but the __array_function__ dispatcher that np.dot and
+np.putmask pass their arguments through: at n = 50, on a 2-vCPU host, it
+took a quarter or more of each call's time.  So a sweep calls ndarray.dot
+and the implementation behind np.putmask directly, the same BLAS and
+masking code.
 The root is computed as sqrt(q) without clamping q at 0: where q < 0 the
 square root is nan, and the vertex root replaces that entry anyway, and a
 nan q stays nan either way.  So the denominator is exactly 0 only where q
@@ -150,11 +163,13 @@ limit.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
 from .linalg import DIVERGENCE_GUARD, RELATIVE_TOL, PerturbationSolution, SolveStatus
 from .linalg import as_square_matrix, beyond_guard, check_count, check_state, residual_rows
+from .linalg import within_guard
 
 # A coefficient step below a few ulps of the state's own unit coefficient
 # is rounding noise, not movement (stop rule 1).
@@ -171,6 +186,8 @@ _LONG_AFTER = 256
 _BATCH_ENTRIES = 1 << 16
 # Comparing with a 0-d array skips the conversion of a Python float per call.
 _ZERO = np.zeros(())
+# np.putmask itself, without the __array_function__ dispatcher in front of it
+_PUTMASK = np.putmask._implementation
 # A column that passes the step tests is an eigenpair only if its residual is
 # at most this times the block's Frobenius norm (stop rule 1).
 _RESIDUAL_TOL = 1.0e-9
@@ -238,8 +255,12 @@ def _rotate_tied_groups(a: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     becomes Q^T a Q with Q the eigenvectors V of that block on the group's
     positions, ascending eigenvalues on ascending positions.  Returns the
     (positions, V) of each rotated group; a column c' of the rotated matrix
-    is c = Q c' in the original basis.
+    is c = Q c' in the original basis.  A diagonal without an exact tie
+    returns before np.unique.
     """
+    ordered = np.sort(np.diag(a))
+    if not (ordered[1:] == ordered[:-1]).any():
+        return []
     _, group_of, counts = np.unique(np.diag(a), return_inverse=True, return_counts=True)
     rotations = []
     for i in np.flatnonzero(counts > 1):
@@ -267,9 +288,10 @@ class _Stack:
     sums, so the energies of a batch are ek + hcs[1:].  The views of each
     sweep are bound once, and every ufunc writes into a buffer.  A stack of
     one column binds 1-D row views of every m x n array and 0-d views of the
-    sums, and its products are np.dot; a wider stack takes its m x n rows
-    to np.matvec and np.vecdot.  Both run BLAS gemv and ddot for each
-    column, so a column is rounded alike whether it runs alone or not.
+    sums, and its products are the bound a.dot and hk.dot; a wider stack
+    takes its m x n rows to np.matvec and np.vecdot.  Both run BLAS gemv
+    and ddot for each column, so a column is rounded alike whether it runs
+    alone or not.
     """
 
     def __init__(
@@ -304,15 +326,7 @@ class _Stack:
         self.cols = np.empty((steps + 2, m, n))
         self.hcs = np.empty((steps + 2, m))
         self.cols[:2], self.hcs[:2] = carry
-        # One column sweeps 1-D rows with 0-d sums through np.dot; more sweep
-        # the m x n rows through np.matvec and np.vecdot, and read their sums
-        # as m x 1 columns where they meet the rows.
-        if m == 1:
-            self.matvec = self.vecdot = np.dot
-            row, total, out = (n,), (), ()
-        else:
-            self.matvec, self.vecdot = np.matvec, np.vecdot
-            row, total, out = (m, n), (m, 1), (m,)
+        row = (n,) if m == 1 else (m, n)
         self.hk, self.hk4 = hk.reshape(row), hk4.reshape(row)
         self.sign2 = sign2.reshape(row)
         self.tie_sign = sign.reshape(row) if tied.any() else None
@@ -320,22 +334,32 @@ class _Stack:
         self.vertex = vertex.reshape(row)
         self.first, self.second, self.work = np.empty(row), np.empty(row), np.empty(row)
         self.mask = np.empty(row, dtype=bool)
-        # the views of each history slot, made once per slot, not per sweep
+        # One column sweeps 1-D rows with 0-d sums through the dot methods of
+        # the block and its row, which skip np.dot's __array_function__
+        # dispatcher; more sweep the m x n rows through np.matvec and
+        # np.vecdot, gufuncs without one, and read their sums as m x 1
+        # columns where they meet the rows.  The views of the history slots
+        # are made once, by iterating over the history.
         rows = list(self.cols.reshape((-1,) + row))
-        sums = [hc.reshape(total) for hc in self.hcs]
-        outs = [hc.reshape(out) for hc in self.hcs]
+        if m == 1:
+            self.matvec, self.vecdot = a.dot, self.hk.dot
+            flat = self.hcs.reshape(-1)
+            sums = outs = [flat[i, ...] for i in range(flat.size)]
+        else:
+            self.matvec, self.vecdot = partial(np.matvec, a), partial(np.vecdot, self.hk)
+            sums, outs = list(self.hcs[:, :, None]), list(self.hcs)
         self.sweeps = list(zip(rows[1:-1], sums[1:-1], rows[2:], outs[2:]))
 
-    def run(self, a: np.ndarray, steps: int) -> None:
+    def run(self, steps: int) -> None:
         """Sweep steps times from cols[1]: fill cols[2 : steps + 2] and hcs[2 : steps + 2]."""
         hk, hk4, sign2 = self.hk, self.hk4, self.sign2
         gap2, abs_gap, vertex, tie_sign = self.gap2, self.abs_gap, self.vertex, self.tie_sign
         first, second, work, mask = self.first, self.second, self.work, self.mask
         matvec, vecdot = self.matvec, self.vecdot
         multiply, subtract, add = np.multiply, np.subtract, np.add
-        sqrt, divide, equal, less, putmask = np.sqrt, np.divide, np.equal, np.less, np.putmask
+        sqrt, divide, equal, less, putmask = np.sqrt, np.divide, np.equal, np.less, _PUTMASK
         for c, hc, new, hc_new in self.sweeps[:steps]:
-            matvec(a, c, work)  # H[l, k] + sum_{j != k, l} H[l, j] c[j]
+            matvec(c, work)  # H[l, k] + sum_{j != k, l} H[l, j] c[j]
             multiply(hk, c, second)
             subtract(hc, second, second)
             multiply(c, second, second)
@@ -351,7 +375,7 @@ class _Stack:
                 putmask(new, mask, tie_sign)
             less(first, _ZERO, mask)
             putmask(new, mask, vertex)
-            vecdot(hk, new, hc_new)
+            vecdot(new, hc_new)
 
 
 def _sweep(
@@ -421,37 +445,50 @@ def _sweep(
         it = ran = 0  # ran: sweeps since the last stop
         while True:
             steps = min(len(st.sweeps), cap - it, _BATCH if ran < _LONG_AFTER else _LONG_BATCH)
-            st.run(a, steps)
+            st.run(steps)
 
             # The stop rules on every sweep of the batch, one row per sweep.
+            # A quick test first: the energy test, equal sums, the guard on
+            # the whole batch and the cap.  Only if one of them holds are the
+            # candidates tested whole and every column's first stop found.
+            it += steps
             cols, hcs = st.cols[: steps + 2], st.hcs[: steps + 2]
             news, olds = cols[2:], cols[1:-1]
             energies = st.ek + hcs[1:]
             e0, e1 = energies[:-1], energies[1:]
             converged = np.abs(e1 - e0) <= _HALF_TOL * np.abs(e1 + e0)
-            if converged.any():
-                hit = np.nonzero(converged)
-                o, w = olds[hit], news[hit]
-                converged[hit] = ~((np.abs(o - w) - _HALF_TOL * np.abs(o + w)) > _NOISE).any(axis=1)
             # Equal columns have equal sums, whichever stack width computed
             # them, so only those columns are compared whole; so are those
             # whose sum overflowed to nan, which needs |H[k, l]| near 1e300.
             cycling = hcs[2:] == hcs[:-2]
             cycling |= np.isnan(hcs[2:])
-            if cycling.any():
-                hit = np.nonzero(cycling)
-                cycling[hit] = (news[hit] == cols[:-2][hit]).all(axis=1)
-            blown = beyond_guard(news)
-            stop = converged | cycling | blown
-            if it + steps == cap:
-                stop[-1] = True
+            may_converge, may_cycle = converged.any(), cycling.any()
+            stopping = may_converge or may_cycle or it == cap or not within_guard(news)
+            if stopping:
+                if may_converge:
+                    hit = np.nonzero(converged)
+                    o, w = olds[hit], news[hit]
+                    moved = (np.abs(o - w) - _HALF_TOL * np.abs(o + w)) > _NOISE
+                    converged[hit] = ~moved.any(axis=1)
+                if may_cycle:
+                    hit = np.nonzero(cycling)
+                    cycling[hit] = (news[hit] == cols[:-2][hit]).all(axis=1)
+                blown = beyond_guard(news)
+                stop = converged | cycling | blown
+                if it == cap:
+                    stop[-1] = True
+                done = stop.any(axis=0)
+                stopping = done.any()
+            if not stopping:
+                ran += steps
+                st.cols[:2], st.hcs[:2] = cols[-2:], hcs[-2:]
+                continue
 
             # Each column stops at its first stopping sweep; later sweeps are dropped.
             first = stop.argmax(axis=0)
-            done = stop.any(axis=0)
             for j in np.flatnonzero(done):
                 s = first[j]
-                sweep = int(it + s + 1)
+                sweep = int(it - steps + s + 1)
                 if converged[s, j]:
                     np.fill_diagonal(a, diag)
                     residual = residual_rows(a, e1[s, j], news[s, j])
@@ -469,11 +506,6 @@ def _sweep(
                            f"coefficient magnitude exceeded {DIVERGENCE_GUARD:.1e}")
                 else:
                     finish(j, news[s, j], e1[s, j], sweep, SolveStatus.MAX_ITERATIONS_EXCEEDED)
-            it += steps
-            if not done.any():
-                ran += steps
-                st.cols[:2], st.hcs[:2] = cols[-2:], hcs[-2:]
-                continue
             keep = ~done
             if not keep.any():
                 return results

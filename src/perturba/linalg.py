@@ -19,12 +19,13 @@ write_matrix_text is the writer of the plain-text matrix dump of
 The rules that both perturbation solvers and the harness share live here
 and nowhere else: the relative tolerance RELATIVE_TOL of both solvers'
 convergence tests; the divergence guard DIVERGENCE_GUARD on their
-coefficients, which only beyond_guard compares with data; check_count, the
-one rule for every size, solver cap and quantum number in the package; and
-the residual ||H c - E c|| / ||c||, computed only by residual_rows.
-residual_norm validates a whole run and measures it through residual_rows,
-one defect per coefficient row, each rounded as when its row is measured
-alone; the iteration's residual gate calls residual_rows on its block.
+coefficients, which only within_guard and beyond_guard compare with data;
+check_count, the one rule for every size, solver cap and quantum number in
+the package; and the residual ||H c - E c|| / ||c||, computed only by
+residual_rows.  residual_norm validates a whole run and measures it
+through residual_rows, one defect per coefficient row, each rounded as when
+its row is measured alone; the iteration's residual gate calls residual_rows
+on its block.
 """
 
 from __future__ import annotations
@@ -170,15 +171,27 @@ def residual_rows(a: np.ndarray, energies, coefficients: np.ndarray):
     return np.sqrt(np.vecdot(r, r)) / np.sqrt(np.vecdot(coefficients, coefficients))
 
 
+def within_guard(x: np.ndarray) -> bool:
+    """Whether every entry of x is finite and at most DIVERGENCE_GUARD in magnitude.
+
+    It reads only the smallest and the largest entry of x, through the ufunc
+    reductions themselves, which skips the Python wrappers behind x.min()
+    and x.max().  A nan entry makes both nan, and the test false.
+    """
+    return bool(
+        -DIVERGENCE_GUARD <= np.minimum.reduce(x, None)
+        and np.maximum.reduce(x, None) <= DIVERGENCE_GUARD
+    )
+
+
 def beyond_guard(x: np.ndarray) -> np.ndarray:
     """Whether a row of x (its last axis) holds a non-finite or a too large entry.
 
     An entry is too large above DIVERGENCE_GUARD in magnitude.  The per-row
-    maxima are taken only when the smallest or largest entry of x is
-    outside the bound or nan; otherwise the result is all False, of shape
-    x.shape[:-1].
+    maxima are taken only when within_guard(x) fails; otherwise the result
+    is all False, of shape x.shape[:-1].
     """
-    if -DIVERGENCE_GUARD <= x.min() and x.max() <= DIVERGENCE_GUARD:
+    if within_guard(x):
         return np.zeros(x.shape[:-1], dtype=bool)
     return ~(np.abs(x).max(axis=-1) <= DIVERGENCE_GUARD)  # nan-safe
 

@@ -1,6 +1,7 @@
 """Fixed-point quadratic-update solver: exactness, branches, stopping rules."""
 
 import math
+import sys
 import warnings
 from functools import lru_cache
 
@@ -392,6 +393,32 @@ class TestSolveAll:
             assert a.coefficients.tobytes() == b.coefficients.tobytes()
         assert h.tobytes() == kept
 
+    def test_sweeps_run_no_python_code(self, monkeypatch):
+        # every call of a sweep is a ufunc, a gufunc or a C method: none goes
+        # through an __array_function__ dispatcher, which runs a Python
+        # function to find its relevant arguments.  States 0 and 1 tie
+        # without coupling, so the tie-break's masking runs as well, in the
+        # three-column stack of the block and in a one-column one
+        called = []
+        run = iterative._Stack.run
+
+        def record(frame, event, arg):
+            if event == "call":
+                called.append(frame.f_code)
+
+        def profiled(stack, steps):
+            sys.setprofile(record)
+            try:
+                run(stack, steps)
+            finally:
+                sys.setprofile(None)
+
+        monkeypatch.setattr(iterative._Stack, "run", profiled)
+        h = np.array([[1.0, 0.0, 0.3], [0.0, 1.0, 0.2], [0.3, 0.2, 3.0]])
+        iterate_solve_all(h)
+        iterate_solve(h, 0)
+        assert called and set(called) == {run.__code__}
+
     def test_cycle_on_the_first_sweep_after_a_column_stops(self):
         # States 4 and 2 converge at sweeps 17 and 23, so the other columns
         # move to a new stack after sweep 32.  State 1 repeats its sweep-31
@@ -629,6 +656,19 @@ class TestAgainstReference:
         guard = f"coefficient magnitude exceeded {DIVERGENCE_GUARD:.1e}"
         assert ref[:3] == ("algorithm_failure", 68, guard)
         self.assert_same(iterate_solve(h, 0), ref)
+
+    @given(st.integers(min_value=0, max_value=100_000), st.integers(min_value=1, max_value=400))
+    @settings(max_examples=40, deadline=None)
+    def test_property_random_caps(self, seed, cap):
+        # caps 1-400 put a stop on every position of the 16-sweep batches and
+        # of the first 64-sweep ones, reached through the quick test of a
+        # batch and through its full pass alike
+        h = random_symmetric(seed)
+        block = iterate_solve_all(h, max_iterations=cap)
+        for k in range(h.shape[0]):
+            ref = reference_iterate(h, k, cap)
+            self.assert_same(block[k], ref)
+            self.assert_same(iterate_solve(h, k, max_iterations=cap), ref)
 
 
 @pytest.mark.parametrize("beta, state", [(b, k) for b in QUARTIC_GRID_SWEEPS for k in range(8)])

@@ -14,7 +14,11 @@ first alternating from round to round:
 
 Each side builds its matrices with its own builders before the clock
 starts.  For each phase it prints the median over the rounds of the
-change/parent time ratio and the number of rounds the change was faster.
+change/parent time ratio, with its quartiles, the ratio of the two sides'
+minimum times, and the number of rounds the change was faster.  On a
+shared 2-vCPU host the median of one run can move by a few percent from
+run to run of the same two trees; the quartiles and the ratio of the
+minima show how far.
 It adds to the alternating perfbench/run.py pairs, not replaces them:
 those measure whole processes end to end.
 
@@ -82,15 +86,18 @@ def main(argv: list[str]) -> int:
     for side in sides:
         for solve in side.values():
             solve()  # warm-up
-    ratios = {name: [] for name in sides[0]}
+    times = {name: ([], []) for name in sides[0]}
     for i in range(ROUNDS):
         order = (0, 1) if i % 2 == 0 else (1, 0)
-        for name, rows in ratios.items():
-            t = {s: seconds(sides[s][name]) for s in order}
-            rows.append(t[1] / t[0])
-    for name, rows in ratios.items():
-        wins = sum(r < 1.0 for r in rows)
-        print(f"{name:13} median change/parent {statistics.median(rows):.3f}  wins {wins}/{ROUNDS}")
+        for name, rows in times.items():
+            for s in order:
+                rows[s].append(seconds(sides[s][name]))
+    for name, (parent, change) in times.items():
+        ratios = [c / p for p, c in zip(parent, change)]
+        q1, median, q3 = statistics.quantiles(ratios, n=4)
+        wins = sum(r < 1.0 for r in ratios)
+        print(f"{name:13} median change/parent {median:.3f} [{q1:.3f}-{q3:.3f}]  "
+              f"min change/min parent {min(change) / min(parent):.3f}  wins {wins}/{ROUNDS}")
     return 0
 
 
