@@ -118,37 +118,47 @@ guard's two reductions once.
 A column carries c[k] as 1, and the sweeps read the block B with its
 diagonal zeroed, so that one matrix-vector product gives the whole linear
 part of the update, (B c)[l] = H[l, k] + sum_{j != k, l} H[l, j] c[j], and
-y = B c - c * (sum_l H[k, l] c[l] - H[k, l] c[l]).  On entry k, q is set
-to -inf and the vertex root to 1, so the update writes the 1 back.  The
-diagonal is zeroed in place on the block, which is a copy of the caller's
-matrix, and put back only around the residual gate, which reads the block
-itself.
+y = B c - c * (sum_l H[k, l] c[l] - H[k, l] c[l]).  Row k of that product
+is (B c)[k] = sum_l H[k, l] c[l] itself, so the sum of every column, the
+one its update needs and the one its energy is, is read off the product,
+with no dot product of its own.  On entry k, q is set to -inf and the
+vertex root to 1, so the update writes the 1 back.  The diagonal is zeroed
+in place on the block, which is a copy of the caller's matrix, and put back
+only around the residual gate, which reads the block itself.
 
 The sweeps run in one stack object per set of running columns, built when
 the sweep starts and rebuilt when a column stops: the constants of the
 update, a column history sized for a 64-sweep batch, every intermediate
 array, and the views each sweep reads and writes, bound once, so that a
-sweep is 14 numpy calls (16 on a block with an exact tie), none of them
-through an __array_function__ dispatcher.  Each batch
-takes its length from the sweeps run since the last stop and fills the
-front of that history.  A batch starts by copying the last two columns of
-the previous one and their sums_l H[k, l] c[l] to the front of the
-history, and takes every energy from those sums.  Each elementwise
-product, H[k, l] * c, 4 H[k, l] * y and 2 s * y, is its own call on
-factors stored at the shape of the columns: numpy takes about
+one-column sweep is 13 numpy calls (15 on a block with an exact tie), a
+wider one 14 (16), none of them through an __array_function__ dispatcher.
+Each batch takes its length from the sweeps run since the last stop and
+fills the front of that history.  A batch starts by copying the last two
+columns of the previous one and their sums_l H[k, l] c[l] to the front of
+the history, and takes every energy from those sums.  A sweep reads the
+sum of the column it updates off its own mat-vec, so the sum of a batch's
+last column costs one more product, and the first sweep of a batch writes
+its product aside, so that the carried sum stays: the start column's is
+-0.0, as x + -0.0 is x for every x, and a guard stop on the first sweep
+reports H[k, k] to the bit, where row k of the product would be +0.0.
+Each elementwise product, H[k, l] * c, 4 H[k, l] * y and 2 s * y, is its
+own call on factors stored at the shape of the columns: numpy takes about
 three times as long over a call that broadcasts its operands.  A stack of
-one column, which is every iterate_solve and an iterate_solve_all
-block once one column is left running, works on 1-D rows with 0-d sums, and
-its two products are the dot methods of the block and of the row H[k, :],
-bound once per stack; a wider stack hands its m x n rows to np.matvec and
-np.vecdot, gufuncs, as they are.  Both products run the BLAS gemv and
-ddot kernels for each column, so a column is rounded the same whichever
-stack it runs in.  At 14 calls, the cost left in a one-column sweep was
-not their number but the __array_function__ dispatcher that np.dot and
-np.putmask pass their arguments through: at n = 50, on a 2-vCPU host, it
-took a quarter or more of each call's time.  So a sweep calls ndarray.dot
-and the implementation behind np.putmask directly, the same BLAS and
-masking code.
+one column, which is every iterate_solve and an iterate_solve_all block
+once one column is left running, works on 1-D rows, writes each sweep's
+product into a slot of its own through the dot method of the block, bound
+once per stack, and reads the sum through a 0-d view of its entry k, with
+no copy.  A wider stack hands its m x n rows to np.matvec, a gufunc, as
+they are, and gathers their entries k with the bound take method of the
+product, one call more: np.take, through its dispatcher, took three times
+as long at m = n = 30.  Both
+products run the BLAS gemv kernel for each column, so a column is rounded
+the same whichever stack it runs in.  At 14 calls, the cost left in a
+one-column sweep was not their number but the __array_function__
+dispatcher that np.dot and np.putmask pass their arguments through: at
+n = 50, on a 2-vCPU host, it took a quarter or more of each call's time.
+So a sweep calls ndarray.dot and the implementation behind np.putmask
+directly, the same BLAS and masking code.
 The root is computed as sqrt(q) without clamping q at 0: where q < 0 the
 square root is nan, and the vertex root replaces that entry anyway, and a
 nan q stays nan either way.  So the denominator is exactly 0 only where q
@@ -285,13 +295,14 @@ class _Stack:
     rebuilt only when a column stops.  cols[s + 2] is the column after
     sweep s of a batch and hcs[s + 2] its sum_l H[k, l] c[l]; cols[:2] and
     hcs[:2] carry the last two columns of the previous batch and their
-    sums, so the energies of a batch are ek + hcs[1:].  The views of each
-    sweep are bound once, and every ufunc writes into a buffer.  A stack of
-    one column binds 1-D row views of every m x n array and 0-d views of the
-    sums, and its products are the bound a.dot and hk.dot; a wider stack
-    takes its m x n rows to np.matvec and np.vecdot.  Both run BLAS gemv
-    and ddot for each column, so a column is rounded alike whether it runs
-    alone or not.
+    sums, so the energies of a batch are ek + hcs[1:].  Each sum is entry k
+    of the column's product with a, and the batch's last column takes one
+    more product for it.  The views of each sweep are bound once, and every
+    ufunc writes into a buffer.  A stack of one column binds 1-D row views of
+    every m x n array, a product slot per history column and 0-d views of
+    their entries k as the sums; a wider stack takes its m x n rows to
+    np.matvec and gathers the sums with work.take.  Both run BLAS gemv for
+    each column, so a column is rounded alike whether it runs alone or not.
     """
 
     def __init__(
@@ -299,7 +310,7 @@ class _Stack:
     ) -> None:
         m, n = ks.size, a.shape[0]
         self.ks, self.slots = ks, slots
-        own = np.arange(m) * n + ks  # entry k of each state's row, flat
+        self.own = own = np.arange(m) * n + ks  # entry k of each state's row, flat
         self.ek = diag[ks]
         hk = a[ks]  # H[k, l], 0 at l = k
         gap = self.ek[:, None] - diag
@@ -315,8 +326,8 @@ class _Stack:
         hk4, sign2 = 4.0 * hk, 2.0 * sign
         # On entry k, q = -inf + 0 y[k] < 0, so the vertex root writes the
         # column's 1 back wherever y[k] is finite.  Up to a column's first
-        # stop it is: y[k] is the mat-vec's sum_l H[k, l] c[l] less the dot
-        # product's, on an input column that passed the guard.
+        # stop it is: y[k] is the mat-vec's sum_l H[k, l] c[l] less itself,
+        # 0, on an input column that passed the guard.
         gap2.ravel()[own] = -np.inf
         vertex.ravel()[own] = 1.0
 
@@ -324,8 +335,6 @@ class _Stack:
         # and about _BATCH_ENTRIES coefficients.
         steps = min(_LONG_BATCH, max(1, _BATCH_ENTRIES // (m * n)), cap)
         self.cols = np.empty((steps + 2, m, n))
-        self.hcs = np.empty((steps + 2, m))
-        self.cols[:2], self.hcs[:2] = carry
         row = (n,) if m == 1 else (m, n)
         self.hk, self.hk4 = hk.reshape(row), hk4.reshape(row)
         self.sign2 = sign2.reshape(row)
@@ -334,36 +343,50 @@ class _Stack:
         self.vertex = vertex.reshape(row)
         self.first, self.second, self.work = np.empty(row), np.empty(row), np.empty(row)
         self.mask = np.empty(row, dtype=bool)
-        # One column sweeps 1-D rows with 0-d sums through the dot methods of
-        # the block and its row, which skip np.dot's __array_function__
-        # dispatcher; more sweep the m x n rows through np.matvec and
-        # np.vecdot, gufuncs without one, and read their sums as m x 1
-        # columns where they meet the rows.  The views of the history slots
-        # are made once, by iterating over the history.
+        # Column i of the history has product slot i and sum hcs[i]; the
+        # first sweep of a batch multiplies cols[1] into the spare last slot,
+        # so that the sum carried in hcs[1] stays.  One column's sums are 0-d
+        # views of entry k of its slots, so hcs is a strided view of them;
+        # more columns share work as their slot, gather their sums into hcs
+        # and read them as m x 1 columns where they meet the rows.  The views
+        # of the history slots are made once, by iterating over the history.
         rows = list(self.cols.reshape((-1,) + row))
         if m == 1:
-            self.matvec, self.vecdot = a.dot, self.hk.dot
-            flat = self.hcs.reshape(-1)
-            sums = outs = [flat[i, ...] for i in range(flat.size)]
+            k = int(ks[0])
+            products = np.empty((steps + 3, n))
+            self.hcs = products[:, k : k + 1]
+            self.matvec, self.take = a.dot, None
+            outs, hc_outs = list(products), [None] * (steps + 3)
+            sums = [p[k, ...] for p in products]
         else:
-            self.matvec, self.vecdot = partial(np.matvec, a), partial(np.vecdot, self.hk)
-            sums, outs = list(self.hcs[:, :, None]), list(self.hcs)
-        self.sweeps = list(zip(rows[1:-1], sums[1:-1], rows[2:], outs[2:]))
+            self.hcs = np.empty((steps + 3, m))
+            self.matvec, self.take = partial(np.matvec, a), self.work.take
+            outs, hc_outs = [self.work] * (steps + 3), list(self.hcs)
+            sums = list(self.hcs[:, :, None])
+        self.cols[:2], self.hcs[:2] = carry
+        slots_of = list(zip(rows, outs, hc_outs, sums))
+        reads = [(rows[1], outs[-1], hc_outs[-1], sums[-1]), *slots_of[2:]]
+        self.sweeps = [(*read, new) for read, new in zip(reads, rows[2:])]
+        # the sum of a batch's last column costs one more product
+        self.ends = [slot[:3] for slot in slots_of]
 
     def run(self, steps: int) -> None:
         """Sweep steps times from cols[1]: fill cols[2 : steps + 2] and hcs[2 : steps + 2]."""
         hk, hk4, sign2 = self.hk, self.hk4, self.sign2
         gap2, abs_gap, vertex, tie_sign = self.gap2, self.abs_gap, self.vertex, self.tie_sign
         first, second, work, mask = self.first, self.second, self.work, self.mask
-        matvec, vecdot = self.matvec, self.vecdot
+        matvec, take, own = self.matvec, self.take, self.own
         multiply, subtract, add = np.multiply, np.subtract, np.add
         sqrt, divide, equal, less, putmask = np.sqrt, np.divide, np.equal, np.less, _PUTMASK
-        for c, hc, new, hc_new in self.sweeps[:steps]:
-            matvec(c, work)  # H[l, k] + sum_{j != k, l} H[l, j] c[j]
+        for c, product, hc_out, hc, new in self.sweeps[:steps]:
+            # H[l, k] + sum_{j != k, l} H[l, j] c[j], and on l = k sum_l H[k, l] c[l]
+            matvec(c, product)
+            if take is not None:
+                take(own, None, hc_out, "clip")
             multiply(hk, c, second)
             subtract(hc, second, second)
             multiply(c, second, second)
-            subtract(work, second, work)  # y
+            subtract(product, second, work)  # y
             multiply(hk4, work, first)
             multiply(sign2, work, second)
             add(gap2, first, first)  # q
@@ -375,7 +398,10 @@ class _Stack:
                 putmask(new, mask, tie_sign)
             less(first, _ZERO, mask)
             putmask(new, mask, vertex)
-            vecdot(new, hc_new)
+        c, product, hc_out = self.ends[steps + 1]
+        matvec(c, product)
+        if take is not None:
+            take(own, None, hc_out, "clip")
 
 
 def _sweep(
@@ -387,8 +413,8 @@ def _sweep(
     within it.  Every operation sees only the block submatrix; finished
     columns are scattered back to full length, zero outside the block.
     The columns are stored one state per row, and the products are one
-    matrix-vector and one dot product per column rather than one
-    matrix-matrix product, so that every column is rounded exactly as when
+    matrix-vector product per column rather than one matrix-matrix
+    product, so that every column is rounded exactly as when
     swept alone: the cycle test compares bits, and iterate_solve_all must
     stop each state at the same sweep, with the same result, as
     iterate_solve.

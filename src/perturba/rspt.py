@@ -48,11 +48,13 @@ and coefficients, and energies scaled by that power, as long as no
 product underflows.
 
 The target states of one call are expanded together, one coefficient column
-per state, so an order costs three numpy calls on the (states, n) rows,
-whatever the number of states: np.vecdot for E(a), np.matvec for W c(a-1)
-and np.vecmat for the b-sum.  Columns never mix, and each call rounds a
-column as when it runs alone, so rspt_solve(h, k) and rspt_solve_all(h)[k]
-give the same bits.  The b-sum is one vector-matrix product per column that
+per state, so an order costs two products on the (states, n) rows, whatever
+the number of states: np.matvec for W c(a-1) and np.vecmat for the b-sum.
+E(a) has no product of its own: it is entry k of the column's W c(a-1),
+read with the bound take method before the b-sum is subtracted, the rule
+by which the iteration reads its energy sums too.  Columns never mix, and
+each call rounds a column as when it runs alone, so rspt_solve(h, k) and
+rspt_solve_all(h)[k] give the same bits.  The b-sum is one vector-matrix product per column that
 BLAS reads forward: the corrections c(1), c(2), ... of a column are
 contiguous rows, and its energy corrections are stored last order first, so
 that E(a-1), ..., E(1) is a contiguous run too.  A column leaves the stack
@@ -136,7 +138,7 @@ class _Columns:
     set of running states, so they are rebuilt only when it shrinks.
     """
 
-    def __init__(self, diag: np.ndarray, w: np.ndarray, ks: np.ndarray) -> None:
+    def __init__(self, diag: np.ndarray, ks: np.ndarray) -> None:
         self.ks = ks
         self.own = np.arange(ks.size) * diag.size + ks  # flat index of entry k of each column
         gap = diag[ks, None] - diag
@@ -144,7 +146,6 @@ class _Columns:
         self.safe_gap = np.where(tied, 1.0, gap)
         tied.ravel()[self.own] = False
         self.zero_gap = tied if tied.any() else None  # l != k with H[l, l] == H[k, k]
-        self.wk = w[ks]  # W[k, :]
 
 
 def _expand(
@@ -154,7 +155,7 @@ def _expand(
     n = a.shape[0]
     diag = np.diag(a)
     w = a - np.diag(diag)
-    t = _Columns(diag, w, ks)
+    t = _Columns(diag, ks)
     results: list[PerturbationSolution | None] = [None] * ks.size
     slots = np.arange(ks.size)  # result slot of each running column
 
@@ -198,13 +199,12 @@ def _expand(
                 c_hist = grown
             end = min(start + _BATCH - 1, rows - 1, last)
             for order in range(start, end + 1):
-                prev = c_hist[:, order - 1]
-                rhs = np.matvec(w, prev)
+                rhs = np.matvec(w, c_hist[:, order - 1])
+                e_rev[:, last - order] = rhs.take(t.own)  # entry k is sum_l W[k, l] c(a-1)[l]
                 if order >= 2:
                     rhs -= np.vecmat(e_rev[:, last - order + 1 :], c_hist[:, 1:order])
-                np.put(rhs, t.own, 0.0)
+                rhs.put(t.own, 0.0)
                 np.divide(rhs, t.safe_gap, out=c_hist[:, order])
-                e_rev[:, last - order] = np.vecdot(t.wk, prev)
 
             # The rules on every order of the batch, one row per column.
             # sums[:, i] is the total through order start - 1 + i; accumulate
@@ -252,7 +252,7 @@ def _expand(
                 if not keep.any():
                     break
                 slots = slots[keep]
-                t = _Columns(diag, w, t.ks[keep])
+                t = _Columns(diag, t.ks[keep])
                 # compact in place; the rows of the stopped columns are freed at the next growth
                 for i, j in enumerate(np.flatnonzero(keep)):
                     c_hist[i, : end + 1] = c_hist[j, : end + 1]

@@ -106,7 +106,8 @@ def reference_iterate(h: np.ndarray, state: int, max_iterations: int):
 
     Written from the iterative module's docstring: the update on the
     state's coupling block with its diagonal zeroed and c[k] carried as 1,
-    with the tie-break sign(k - l) and c[l] = s where the denominator is 0,
+    every sum_l H[k, l] c[l] read off row k of the product B c, with the
+    tie-break sign(k - l) and c[l] = s where the denominator is 0,
     then stop rules 1-4 tested after every sweep, with the residual gate of
     stop rule 1 on the block with its diagonal.  A tied group that is
     symmetric and coupled within itself would be rotated by the solver
@@ -123,19 +124,22 @@ def reference_iterate(h: np.ndarray, state: int, max_iterations: int):
     b = a - np.diag(np.diag(a))
     d = a[k, k] - np.diag(a)
     s = np.where(d == 0.0, np.sign(k - np.arange(block.size)), np.sign(d))
-    c, two_back, e, hc = np.zeros(block.size), np.full(block.size, np.nan), a[k, k], 0.0
+    # the start column's energy is H[k, k] + -0.0, H[k, k] down to its sign
+    c, two_back, e = np.zeros(block.size), np.full(block.size, np.nan), a[k, k]
     c[k] = 1.0
+    bc = b @ c
     residual_bound = 1.0e-9 * np.sqrt(np.einsum("ij,ij->", a, a))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for it in range(1, max_iterations + 1):
-            y = b @ c - c * (hc - b[k] * c)
+            # row k of B c, c[k] = 1, is sum_l H[k, l] c[l]
+            y = bc - c * (bc[k] - b[k] * c)
             q = d * d + 4.0 * b[k] * y
             denominator = 0.5 * (np.sqrt(np.maximum(q, 0.0)) + np.abs(d))
             root = np.where(denominator == 0.0, s, s * y / denominator)
             new = np.where(q >= 0.0, root, -d / (2.0 * b[k]))
             new[k] = 1.0
-            new_hc = b[k] @ new
-            new_e = a[k, k] + new_hc
+            new_bc = b @ new
+            new_e = a[k, k] + new_bc[k]
             settled = np.abs(c - new) - 0.5e-10 * np.abs(c + new) <= 4.0 * np.finfo(float).eps
             if abs(new_e - e) <= 0.5e-10 * abs(new_e + e) and settled.all():
                 r = np.einsum("ij,j->i", a, new) - new_e * new
@@ -151,7 +155,7 @@ def reference_iterate(h: np.ndarray, state: int, max_iterations: int):
             elif it == max_iterations:
                 stop = ("max_iterations_exceeded", None, new_e, new)
             else:
-                two_back, c, e, hc = c, new, new_e, new_hc
+                two_back, c, e, bc = c, new, new_e, new_bc
                 continue
             coefficients = np.zeros(h.shape[0])
             coefficients[block] = stop[3]
@@ -161,12 +165,12 @@ def reference_iterate(h: np.ndarray, state: int, max_iterations: int):
 def reference_rspt(h: np.ndarray, state: int, max_order: int):
     """The Rayleigh-Schroedinger expansion of one state, one order at a time.
 
-    Written from the rspt module's docstring: the recursion, with the b-sum
-    as one product in the module's summation order, then stop rules 1-4
-    after every order.  Rounding the b-sum in another order moves the
-    energies of the states of build_linear_true(0.5, 30) that end at the
-    guard by up to 7e-4 relative: their last corrections cancel to a few
-    digits.
+    Written from the rspt module's docstring: the recursion, with E(a) read
+    off row k of W c(a-1) and the b-sum as one product in the module's
+    summation order, then stop rules 1-4 after every order.  Rounding the
+    b-sum in another order moves the energies of the states of
+    build_linear_true(0.5, 30) that end at the guard by up to 7e-4
+    relative: their last corrections cancel to a few digits.
     Returns (status value, orders, detail, energy, coefficients, energy
     corrections, coefficient corrections), the corrections one row per
     order with a rejected order left zero.
@@ -181,8 +185,8 @@ def reference_rspt(h: np.ndarray, state: int, max_order: int):
     c[0, state] = 1.0
     energy, coefficients = h[state, state], c[0].copy()
     for a in range(1, max_order + 1):
-        e_a = w[state] @ c[a - 1]
         numerator = w @ c[a - 1]
+        e_a = numerator[state]  # sum_l W[k, l] c(a-1)[l]
         if a > 1:
             # E(a-1), ..., E(1) against c(1), ..., c(a-1), the module's summation order
             numerator -= e[a - 1 : 0 : -1].copy() @ c[1:a]

@@ -316,6 +316,21 @@ class TestAgainstReference:
             np.testing.assert_array_equal(one.history.energy_corrections, ref[5])
             np.testing.assert_array_equal(one.history.coefficient_corrections, ref[6])
 
+    def test_energy_corrections_are_row_k_of_the_product(self):
+        # E(a) is entry k of the order's product W c(a-1), to the bit; a dot
+        # product of row k with c(a-1) rounds some of them otherwise.  A
+        # failed order is not accepted and reads zero
+        h = build_linear_true(0.5, 30)
+        w = h - np.diag(np.diag(h))
+        for k in range(30):
+            sol = rspt_solve(h, k, keep_history=True)
+            accepted = sol.iterations - (sol.status is SolveStatus.ALGORITHM_FAILURE)
+            start = np.zeros(30)
+            start[k] = 1.0
+            previous = [start, *sol.history.coefficient_corrections[: accepted - 1]]
+            products = np.array([(w @ c)[k] for c in previous])
+            assert sol.history.energy_corrections[:accepted].tobytes() == products.tobytes(), k
+
     def test_rules_on_the_batch_edges(self):
         # each rule fires on the first (17), a middle (8) and the last (16)
         # order of a batch, while the stack's other columns run on

@@ -4,13 +4,15 @@ Both src/perturba packages are loaded into one interpreter, under the names
 perturba_parent and perturba_change, so that the two sides share the
 process, its allocator and its BLAS threads: a per-process offset of a few
 percent, which separate benchmark runs can show, cancels here.  Each of 31
-rounds times the three solve phases on both sides, the side that goes
+rounds times the four solve phases on both sides, the side that goes
 first alternating from round to round:
 
 - quartic-grid: iterate_solve on states 0-7 of the dim-100 transformed
   quartic at beta 0.1, 0.5 and 1.0 (24 calls);
 - linear: iterate_solve_all(build_linear_true(0.5, 30));
-- osc2d-levels: iterate_solve on states 0-5 of build_2d_synthetic(0.4, 0.2, 39).
+- osc2d-levels: iterate_solve on states 0-5 of build_2d_synthetic(0.4, 0.2, 39);
+- rspt: rspt_solve_all(build_linear_true(0.5, 30)), the expansion of
+  linear-frontier.
 
 Each side builds its matrices with its own builders before the clock
 starts.  For each phase it prints the median over the rounds of the
@@ -53,11 +55,12 @@ def load(name: str, root: Path):
     return (
         importlib.import_module(f"{name}.hamiltonians"),
         importlib.import_module(f"{name}.iterative"),
+        importlib.import_module(f"{name}.rspt"),
     )
 
 
-def phases(hamiltonians, iterative) -> dict:
-    """The three solve phases of one side, each a function of no arguments."""
+def phases(hamiltonians, iterative, rspt) -> dict:
+    """The four solve phases of one side, each a function of no arguments."""
     grid = [
         hamiltonians.build_quartic_synthetic(b, hamiltonians.default_quartic_a2(b), 100)
         for b in (0.1, 0.5, 1.0)
@@ -68,6 +71,7 @@ def phases(hamiltonians, iterative) -> dict:
         "quartic-grid": lambda: [iterative.iterate_solve(h, k) for h in grid for k in range(8)],
         "linear": lambda: iterative.iterate_solve_all(linear),
         "osc2d-levels": lambda: [iterative.iterate_solve(osc2d, k) for k in range(6)],
+        "rspt": lambda: rspt.rspt_solve_all(linear),
     }
 
 
