@@ -53,10 +53,24 @@ QUARTIC_GRID_SWEEPS = {
 QUARTIC_GRID_CYCLES = [(0.5, 7), (1.0, 5), (1.0, 6), (1.0, 7)]
 QUARTIC_GRID_CAPPED = [(1.0, 4)]
 
+# Sweeps of perfbench's linear-frontier, iterate_solve_all on
+# build_linear_true(0.5, 30): states 0-10 converge, states 11-21 run to the
+# 10,000-sweep cap and states 22-29 stop at the divergence guard.
+LINEAR_FRONTIER_SWEEPS = (
+    (37, 41, 51, 69, 93, 129, 185, 279, 466, 940, 3041)
+    + (10000,) * 11
+    + (154, 127, 85, 71, 81, 778, 56, 26)
+)
+
 
 @lru_cache(maxsize=None)
 def quartic_grid(beta: float) -> np.ndarray:
     return build_quartic_synthetic(beta, default_quartic_a2(beta), 100)
+
+
+@lru_cache(maxsize=None)
+def linear_frontier() -> tuple:
+    return tuple(iterate_solve_all(build_linear_true(0.5, 30)))
 
 
 def random_symmetric(seed: int) -> np.ndarray:
@@ -508,6 +522,44 @@ class TestAgainstReference:
             self.assert_same(iterate_solve(h, k, max_iterations=cap), ref)
             self.assert_same(block[k], ref)
 
+    @pytest.mark.parametrize("state", [13, 14, 15])
+    def test_linear_energies_that_settle_before_the_cap(self, state):
+        # states 13, 14 and 15 pass the energy test on every sweep from
+        # sweeps 1,553, 7,995 and 9,589 on, while their coefficients still
+        # move by 0.1-0.25 a sweep, up to the cap
+        h = build_linear_true(0.5, 30)
+        ref = reference_iterate(h, state, 10000)
+        assert ref[:3] == ("max_iterations_exceeded", 10000, None)
+        self.assert_same(iterate_solve(h, state), ref)
+        self.assert_same(linear_frontier()[state], ref)
+
+    def test_witness_that_settles_before_its_column(self, monkeypatch):
+        # Row 0 has no off-diagonal entry, so the energy of state 0 never
+        # moves and passes its test on every sweep, while its column is
+        # pulled by the fast pair 1-2 and the slow pair 3-4.  The column's
+        # witness is first an entry of the fast pair, which settles long
+        # before the slow one: the column must then be tested whole, and
+        # refuted by the slow pair, up to its stop at sweep 233.
+        named = []
+
+        class Recording(iterative._Stack):
+            def refute(self, columns, entries):
+                named.extend(int(e) for j, e in zip(columns, entries) if self.ks[j] == 0)
+                super().refute(columns, entries)
+
+        monkeypatch.setattr(iterative, "_Stack", Recording)
+        h = np.diag([0.0, 1.0, 2.0, 3.0, 4.0])
+        h[1:, 0] = 1.0
+        h[1, 2] = h[2, 1] = 0.3
+        h[3, 4] = h[4, 3] = 3.0
+        block = iterate_solve_all(h, max_iterations=1000)
+        assert block[0].converged and block[0].iterations == 233
+        assert named[0] in (1, 2) and named[-1] in (3, 4)
+        for k in range(5):
+            ref = reference_iterate(h, k, 1000)
+            self.assert_same(block[k], ref)
+            self.assert_same(iterate_solve(h, k, max_iterations=1000), ref)
+
     # the quartic-grid states that do not converge: the cycles and the cap
     @pytest.mark.parametrize("beta, state", QUARTIC_GRID_CYCLES + QUARTIC_GRID_CAPPED)
     def test_quartic_grid_cycles(self, beta, state):
@@ -697,6 +749,17 @@ def test_quartic_grid_stop_table(beta, state):
         expected = (SolveStatus.CONVERGED, sweeps, None)
     sol = iterate_solve(quartic_grid(beta), state)
     assert (sol.status, sol.iterations, sol.detail) == expected
+
+
+def test_linear_frontier_stop_table():
+    guard = f"coefficient magnitude exceeded {DIVERGENCE_GUARD:.1e}"
+    expected = [
+        (SolveStatus.CONVERGED, sweeps, None) if k <= 10
+        else (SolveStatus.MAX_ITERATIONS_EXCEEDED, sweeps, None) if k <= 21
+        else (SolveStatus.ALGORITHM_FAILURE, sweeps, guard)
+        for k, sweeps in enumerate(LINEAR_FRONTIER_SWEEPS)
+    ]
+    assert [(s.status, s.iterations, s.detail) for s in linear_frontier()] == expected
 
 
 class TestCouplingBlocks:

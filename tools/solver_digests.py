@@ -54,6 +54,7 @@ def cases():
     yield "rspt_solve_all build_2d_true(0.4, 12)", rspt_solve_all(true2d)
     linear, quartic = build_linear_true(0.5, 30), build_quartic_true(1.0, 60)
     yield "iterate_solve_all build_linear_true(0.5, 30)", iterate_solve_all(linear)
+    yield "rspt_solve_all build_linear_true(0.5, 30)", rspt_solve_all(linear)
     yield "rspt_solve_all build_quartic_true(1.0, 60)", rspt_solve_all(quartic)
 
 
