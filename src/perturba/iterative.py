@@ -121,15 +121,21 @@ linalg.beyond_guard, the expansion's as well: it first compares the
 batch's largest and smallest coefficient with DIVERGENCE_GUARD
 (linalg.within_guard), and takes the per-column maxima only when either
 is outside or nan.  Most batches stop no column, so a batch first runs a
-quick test: the energy test with its witnesses and whole columns, the
-equal sums, the cap, and only if none of them holds, within_guard.  It
-writes its energies, their changes and half-sums, and its flags into
-buffers of the stack, through views bound once per batch length, and
-reduces the flags with np.logical_or.reduce, not ndarray.any, which runs
-a Python wrapper.  Only a batch with a candidate left goes on to the full
-pass, which tests the cycle candidates whole, calls beyond_guard and finds
-each column's first stop; so such a batch still runs the guard's two
-reductions once.  On the linear oscillator, 16 of the 222 batches do.
+quick test.  It writes the energies, their changes |E - E_prev|, their
+levels RELATIVE_TOL * |E + E_prev| / 2 and the changes of the sums over
+two sweeps into buffers made once per batch length, the last three rows
+of one contiguous block that one np.absolute takes whole.  One reduction,
+the least of the sums' changes and of the margins change - level, then
+decides both tests: where it is above 0, no energy passes its test and no
+two sums are equal or nan.  Only otherwise are the energy test's flags
+reduced, its candidates tested at their witnesses and then whole, and the
+sums' changes reduced alone.  Then the cap and, if nothing holds yet,
+within_guard.  Flags are reduced with np.logical_or.reduce, not
+ndarray.any, which runs a Python wrapper.  Only a batch with a candidate
+left goes on to the full pass, which flags the equal sums, tests the
+cycle candidates whole, calls beyond_guard and finds each column's first
+stop; so such a batch still runs the guard's two reductions once.  On the
+linear oscillator, 16 of the 222 batches do.
 
 A column carries c[k] as 1, and the sweeps read the block B with its
 diagonal zeroed, so that one matrix-vector product gives the whole linear
@@ -148,15 +154,28 @@ update, a column history sized for a 64-sweep batch, every intermediate
 array, and the views each sweep reads and writes, bound once, so that a
 one-column sweep is 13 numpy calls (15 on a block with an exact tie), a
 wider one 14 (16), none of them through an __array_function__ dispatcher.
+A stack of one column selects its row k with an int, so that its
+constants come out as 1-D rows, with no reshape, and without an exact tie
+the sign rule is one np.copysign: it is built in about 30 numpy calls and
+one view per history column and array.  Around its sweeps, a one-column
+solve pays the checks of its input, the breadth-first search for its
+block, the copy of the block and one stack, and per batch the quick
+test's nine calls and within_guard's two reductions, the carry's two
+copies and the views of its length, bound once.
 Each batch takes its length from the sweeps run since the last stop and
-fills the front of that history.  A batch starts by copying the last two
-columns of the previous one and their sums_l H[k, l] c[l] to the front of
-the history, and takes every energy from those sums.  A sweep reads the
-sum of the column it updates off its own mat-vec, so the sum of a batch's
-last column costs one more product, and the first sweep of a batch writes
-its product aside, so that the carried sum stays: the start column's is
--0.0, as x + -0.0 is x for every x, and a guard stop on the first sweep
-reports H[k, k] to the bit, where row k of the product would be +0.0.
+fills the front of that history.  A sweep updates a column from that
+column's product, which the sweep before it made, and ends with the
+product of the column it made, so a one-column solve makes one mat-vec
+per sweep and one for its start column.  A batch starts from the last two
+columns of the previous one, their sums_l H[k, l] c[l] and the last one's
+product, copied to the front of the history, and takes every energy from
+those sums.  A stack makes the product of the column it starts from when
+it is built, then writes the carried sums over its row k: the start
+column's sum is -0.0, as x + -0.0 is x for every x, so its energy is
+H[k, k] to the bit, and a guard stop on the first sweep reports that,
+where row k of the product is +0.0.  The -0.0 could change only the sign
+of a zero y[l] whose product entry is -0.0 too, which a BLAS sum started
+at +0.0 never is.
 Each elementwise product, H[k, l] * c, 4 H[k, l] * y and 2 s * y, is its
 own call on factors stored at the shape of the columns: numpy takes about
 three times as long over a call that broadcasts its operands.  A stack of
@@ -190,7 +209,6 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -202,7 +220,7 @@ from .linalg import within_guard
 # is rounding noise, not movement (stop rule 1).
 _NOISE = 4.0 * np.finfo(float).eps
 # The relative tests compare against the half-sum of successive iterates.
-_HALF_TOL = 0.5 * RELATIVE_TOL
+_HALF_TOL = np.full((), 0.5 * RELATIVE_TOL)
 # The stop rules are tested once per batch of at most _BATCH sweeps, or
 # _LONG_BATCH once the running columns have gone _LONG_AFTER sweeps without
 # a stop, and a batch keeps at most about _BATCH_ENTRIES coefficients of
@@ -211,10 +229,15 @@ _BATCH = 16
 _LONG_BATCH = 64
 _LONG_AFTER = 256
 _BATCH_ENTRIES = 1 << 16
-# Comparing with a 0-d array skips the conversion of a Python float per call.
+# Comparing with a 0-d array, or multiplying by one, skips the conversion of a
+# Python float per call.
 _ZERO = np.zeros(())
 # np.putmask itself, without the __array_function__ dispatcher in front of it
 _PUTMASK = np.putmask._implementation
+# The calls of a sweep, bound to names of _Stack.run in one unpacking.
+_SWEEP_CALLS = (
+    np.multiply, np.subtract, np.add, np.sqrt, np.divide, np.equal, np.less, _PUTMASK
+)
 # A column that passes the step tests is an eigenpair only if its residual is
 # at most this times the block's Frobenius norm (stop rule 1).
 _RESIDUAL_TOL = 1.0e-9
@@ -229,7 +252,7 @@ def iterate_solve(h, state: int, max_iterations: int = 10000) -> PerturbationSol
     a = as_square_matrix(h)
     check_state(state, a.shape[0])
     block = _component(a != 0.0, state)
-    return _sweep(a, block, np.flatnonzero(block == state), max_iterations)[0]
+    return _sweep(a, block, block.searchsorted([state]), max_iterations)[0]
 
 
 def iterate_solve_all(h, max_iterations: int = 10000) -> list[PerturbationSolution]:
@@ -266,12 +289,15 @@ def _component(nonzero: np.ndarray, seed: int) -> np.ndarray:
     matrix.
     """
     member = np.zeros(nonzero.shape[0], dtype=bool)
-    frontier = member.copy()
-    frontier[seed] = True
-    while frontier.any():
-        member |= frontier
-        frontier = (nonzero[frontier].any(axis=0) | nonzero[:, frontier].any(axis=1)) & ~member
-    return np.flatnonzero(member)
+    member[seed] = True
+    frontier, reached_by = member, np.logical_or.reduce
+    while True:
+        # the states linked to the frontier, by a row or a column, that are
+        # not members yet (True > False)
+        frontier = (reached_by(nonzero[frontier], 0) | reached_by(nonzero[:, frontier], 1)) > member
+        if not reached_by(frontier, None):
+            return np.flatnonzero(member)
+        member = member | frontier
 
 
 def _rotate_tied_groups(a: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -285,8 +311,8 @@ def _rotate_tied_groups(a: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     is c = Q c' in the original basis.  A diagonal without an exact tie
     returns before np.unique.
     """
-    ordered = np.sort(np.diag(a))
-    if not (ordered[1:] == ordered[:-1]).any():
+    ordered = np.sort(a.diagonal())
+    if not np.logical_or.reduce(ordered[1:] == ordered[:-1], None):
         return []
     _, group_of, counts = np.unique(np.diag(a), return_inverse=True, return_counts=True)
     rotations = []
@@ -306,25 +332,30 @@ class _Stack:
     """The running columns of one coupling block: constants, buffers and carry.
 
     a is the block with its diagonal zeroed, diag that diagonal.  Row j of
-    every m x n array belongs to the state at position ks[j] of the
-    block, whose result goes to slots[j].  Everything here depends only on
-    that set of states, so the stack is reused from batch to batch and
-    rebuilt only when a column stops.  cols[s + 2] is the column after
-    sweep s of a batch and hcs[s + 2] its sum_l H[k, l] c[l]; cols[:2] and
-    hcs[:2] carry the last two columns of the previous batch and their
-    sums, so the energies of a batch are ek + hcs[1:].  Each sum is entry k
-    of the column's product with a, and the batch's last column takes one
-    more product for it.  The views of each sweep are bound once, and every
-    ufunc writes into a buffer; so do the stop rules, through the views
-    that batch binds once per batch length.  witness[j] is the entry of
-    column j that the step test reads first, one that failed when the
+    every m x n array belongs to the state at position ks[j] of the block,
+    whose result goes to slots[j]; a stack of one column selects its row
+    with an int, so that its constants and buffers are 1-D rows.
+    Everything here depends only on that set of states, so the stack is
+    reused from batch to batch and rebuilt only when a column stops.
+    cols[s + 2] is the column after sweep s of a batch and hcs[s + 2] its
+    sum_l H[k, l] c[l]; cols[:2] and hcs[:2] carry the last two columns of
+    the previous batch and their sums, so the energies of a batch are
+    ek + hcs[1:].  carry holds those two columns and sums for a rebuilt
+    stack, and is None for the start columns.  Each sum is entry k of the
+    column's product with a, which the sweep that made the column makes;
+    the stack makes the product of cols[1] when it is built.  A stack of
+    one column keeps a product per history column and reads its sums
+    through 0-d views of their entries k; the products are what it
+    carries, the rows a batch copies to the front for the next.  A wider
+    stack keeps one product, which a batch leaves holding its last column's,
+    gathers the sums into hcs with the product's take, and carries hcs.
+    Both run BLAS gemv for each column, so a column is rounded alike
+    whether it runs alone or not.  The views of each sweep are bound once,
+    and every ufunc writes into a buffer; so do the stop rules, through the
+    views that batch binds once per batch length.  witness[j] is the entry
+    of column j that the step test reads first, one that failed when the
     column was last read whole (refute names new ones), and watch holds its
-    flat index in every history column.  A stack of one column binds 1-D
-    row views of every m x n array, a product slot per history column and
-    0-d views of their entries k as the sums; a wider stack takes its m x n
-    rows to np.matvec and gathers the sums with work.take.  Both run BLAS
-    gemv for each column, so a column is rounded alike whether it runs
-    alone or not.
+    flat index in every history column.
     """
 
     def __init__(
@@ -333,91 +364,117 @@ class _Stack:
     ) -> None:
         m, n = ks.size, a.shape[0]
         self.ks, self.slots, self.witness = ks, slots, witness
-        self.own = own = np.arange(m) * n + ks  # entry k of each state's row, flat
-        self.ek = diag[ks]
-        hk = a[ks]  # H[k, l], 0 at l = k
-        gap = self.ek[:, None] - diag
-        sign = np.where(gap == 0.0, np.sign(ks[:, None] - np.arange(n)), np.sign(gap))
-        abs_gap = np.abs(gap)
-        # The update's denominator can vanish only where the gap does; s is
-        # kept for those entries only if there are any.
-        tied = abs_gap == 0.0
-        tied.ravel()[own] = False
-        gap2 = gap * gap
-        vertex = -gap / np.where(hk != 0.0, 2.0 * hk, 1.0)
-        # 2 s y / (sqrt(q) + |d|) rounds as s y / ((sqrt(q) + |d|) / 2), one product fewer
-        hk4, sign2 = 4.0 * hk, 2.0 * sign
+        # One column selects its row k with an int, so that every constant
+        # and buffer is a 1-D row; more columns take m x n rows.  own is
+        # entry k of each row, flat.
+        if m == 1:
+            own = sel = int(ks[0])
+        else:
+            own, sel = np.arange(0, m * n, n) + ks, ks
+        self.ek = ek = diag[ks]
+        hk = a[sel]  # H[k, l], 0 at l = k
+        gap = (ek if m == 1 else ek[:, None]) - diag
+        # 2 s y / (sqrt(q) + |d|) rounds as s y / ((sqrt(q) + |d|) / 2), one
+        # product fewer.  s is the sign of d, or of k - l at a tie, where the
+        # denominator can vanish too: s itself is kept for those entries only
+        # if there are any.  Entry k of the update is the vertex root's 1
+        # (below), so 2 s there is whatever np.copysign gives.
+        sign2 = np.copysign(2.0, gap)
+        tied = np.equal(gap, 0.0)
+        tied.put(own, False)
+        tie_sign = None
+        if np.logical_or.reduce(tied, None):
+            tie_sign = np.sign(ks[:, None] - np.arange(float(n))).reshape(gap.shape)
+            _PUTMASK(sign2, tied, 2.0 * tie_sign)
+        abs_gap, gap2 = np.absolute(gap), gap * gap
+        # The vertex root -d / (2 H[k, l]) is taken only where q < 0, which
+        # needs H[k, l] != 0; elsewhere it is whatever the division gives.
+        vertex = gap / (-2.0 * hk)
         # On entry k, q = -inf + 0 y[k] < 0, so the vertex root writes the
         # column's 1 back wherever y[k] is finite.  Up to a column's first
         # stop it is: y[k] is the mat-vec's sum_l H[k, l] c[l] less itself,
         # 0, on an input column that passed the guard.
-        gap2.ravel()[own] = -np.inf
-        vertex.ravel()[own] = 1.0
+        gap2.put(own, -np.inf)
+        vertex.put(own, 1.0)
+        first, second, work = np.empty((3,) + gap.shape)
+        mask = np.empty(gap.shape, dtype=bool)
 
         # The history holds a long batch, at most cap sweeps, the number left,
         # and about _BATCH_ENTRIES coefficients.
-        steps = min(_LONG_BATCH, max(1, _BATCH_ENTRIES // (m * n)), cap)
+        self.steps = steps = min(_LONG_BATCH, max(1, _BATCH_ENTRIES // (m * n)), cap)
         self.cols = np.empty((steps + 2, m, n))
-        row = (n,) if m == 1 else (m, n)
-        self.hk, self.hk4 = hk.reshape(row), hk4.reshape(row)
-        self.sign2 = sign2.reshape(row)
-        self.tie_sign = sign.reshape(row) if tied.any() else None
-        self.gap2, self.abs_gap = gap2.reshape(row), abs_gap.reshape(row)
-        self.vertex = vertex.reshape(row)
-        self.first, self.second, self.work = np.empty(row), np.empty(row), np.empty(row)
-        self.mask = np.empty(row, dtype=bool)
-        # Column i of the history has product slot i and sum hcs[i]; the
-        # first sweep of a batch multiplies cols[1] into the spare last slot,
-        # so that the sum carried in hcs[1] stays.  One column's sums are 0-d
-        # views of entry k of its slots, so hcs is a strided view of them;
-        # more columns share work as their slot, gather their sums into hcs
-        # and read them as m x 1 columns where they meet the rows.  The views
-        # of the history slots are made once, by iterating over the history.
-        rows = list(self.cols.reshape((-1,) + row))
+        rows = list(self.cols.reshape((-1,) + gap.shape))
+        # Column i of the history has its product with a and its sum hcs[i].
+        # One column keeps a product per history column, and its sums are
+        # 0-d views of their entries k, so hcs is a strided view of them.
+        # More columns share one product, gather its entries k into hcs and
+        # read them as m x 1 columns where they meet the rows.  The views of
+        # the history are made once, by iterating over it.
         if m == 1:
-            k = int(ks[0])
-            products = np.empty((steps + 3, n))
-            self.hcs = products[:, k : k + 1]
-            self.matvec, self.take = a.dot, None
-            outs, hc_outs = list(products), [None] * (steps + 3)
-            sums = [p[k, ...] for p in products]
+            products = np.empty((steps + 2, n))
+            self.hcs, self.carried = products[:, own : own + 1], products
+            outs, hc_outs = list(products), [None] * (steps + 2)
+            sums = [p[own, ...] for p in products]
+            matvec, take = a.dot, None
         else:
-            self.hcs = np.empty((steps + 3, m))
-            self.matvec, self.take = partial(np.matvec, a), self.work.take
-            outs, hc_outs = [self.work] * (steps + 3), list(self.hcs)
+            self.hcs = self.carried = np.empty((steps + 2, m))
+            product = np.empty((m, n))
+            outs, hc_outs = [product] * (steps + 2), list(self.hcs)
             sums = list(self.hcs[:, :, None])
-        self.cols[:2], self.hcs[:2] = carry
-        slots_of = list(zip(rows, outs, hc_outs, sums))
-        reads = [(rows[1], outs[-1], hc_outs[-1], sums[-1]), *slots_of[2:]]
-        self.sweeps = [(*read, new) for read, new in zip(reads, rows[2:])]
-        # the sum of a batch's last column costs one more product
-        self.ends = [slot[:3] for slot in slots_of]
+            matvec, take = partial(np.matvec, a), product.take
+        # sweep s reads column s + 1, its product and sum, and writes column
+        # s + 2 and its product and sum
+        self.sweeps = list(zip(rows[1:], outs[1:], sums[1:], rows[2:], outs[2:], hc_outs[2:]))
+        self.bound = (
+            hk, 4.0 * hk, sign2, gap2, abs_gap, vertex, tie_sign,
+            first, second, work, mask, matvec, take, own,
+        )
+        # The carried column's product is made here; a batch leaves the
+        # product of its last column for the next.  The carried sums are
+        # written after it: the start column's stays -0.0, where row k of
+        # its product is +0.0.
+        if carry is None:
+            self.cols[0] = np.nan  # never equal: no cycle on the first sweep
+            self.cols[1] = 0.0
+            rows[1].put(own, 1.0)
+            carried_sums = -0.0
+        else:
+            self.cols[:2], carried_sums = carry
+        matvec(rows[1], outs[1])
+        self.hcs[:2] = carried_sums
 
-        # The quick test's buffers, a row per sweep of a batch: the energies,
-        # their changes and half-sums, and the flags.
-        self.energies = np.empty((steps + 1, m))
-        self.change, self.level = np.empty((steps, m)), np.empty((steps, m))
-        self.converged, self.cycling, self.flag = np.empty((3, steps, m), dtype=bool)
         # the witnesses' flat indices into the history, one row per history
-        # column, and their values
+        # column
         self.history_rows = np.arange(0, (steps + 2) * m * n, n).reshape(steps + 2, m)
         self.watch = self.history_rows + witness
-        self.watched = np.empty((steps + 1, m))
         self.batches = {}
 
-    def batch(self, steps: int) -> SimpleNamespace:
-        """The views that the stop rules of a batch of steps sweeps read, made once per length."""
+    def batch(self, steps: int) -> tuple:
+        """The views that the stop rules of a batch of steps sweeps read, bound once per length.
+
+        In order: the history, its new columns and the ones before them; the
+        sums of the columns after the first, of the new ones and of the ones
+        two sweeps before them; the energies and those before and after each
+        sweep; the spread, its first three rows, its first two, each of its
+        four rows and its last two; the flags converged, cycling and flag;
+        the witnesses' indices, their values and those before and after each
+        sweep; and for the carry, the first two history columns and the last
+        two, and the same of carried.  The quick test's buffers, a row per
+        sweep, are made for each length, so that each of its calls runs over
+        one contiguous block.
+        """
         views = self.batches.get(steps)
         if views is None:
-            cols, hcs = self.cols[: steps + 2], self.hcs[: steps + 2]
-            energies, watched = self.energies[: steps + 1], self.watched[: steps + 1]
-            views = self.batches[steps] = SimpleNamespace(
-                cols=cols, news=cols[2:], olds=cols[1:-1],
-                hcs=hcs, sums=hcs[1:], new_sums=hcs[2:], old_sums=hcs[:-2],
-                energies=energies, e0=energies[:-1], e1=energies[1:],
-                change=self.change[:steps], level=self.level[:steps], flag=self.flag[:steps],
-                converged=self.converged[:steps], cycling=self.cycling[:steps],
-                watch=self.watch[1 : steps + 2], watched=watched, w0=watched[:-1], w1=watched[1:],
+            m = self.ks.size
+            cols, hcs, carried = self.cols[: steps + 2], self.hcs[: steps + 2], self.carried
+            energies, watched = np.empty((2, steps + 1, m))
+            spread = np.empty((4, steps, m))
+            views = self.batches[steps] = (
+                cols, cols[2:], cols[1:-1], hcs[1:], hcs[2:], hcs[:-2],
+                energies, energies[:-1], energies[1:], spread[:3], spread[:2], *spread, spread[2:],
+                *np.empty((3, steps, m), dtype=bool), self.watch[1 : steps + 2], watched,
+                watched[:-1], watched[1:], self.cols[:2], cols[-2:], carried[:2],
+                carried[steps : steps + 2],
             )
         return views
 
@@ -427,18 +484,13 @@ class _Stack:
         np.add(self.history_rows, self.witness, self.watch)
 
     def run(self, steps: int) -> None:
-        """Sweep steps times from cols[1]: fill cols[2 : steps + 2] and hcs[2 : steps + 2]."""
-        hk, hk4, sign2 = self.hk, self.hk4, self.sign2
-        gap2, abs_gap, vertex, tie_sign = self.gap2, self.abs_gap, self.vertex, self.tie_sign
-        first, second, work, mask = self.first, self.second, self.work, self.mask
-        matvec, take, own = self.matvec, self.take, self.own
-        multiply, subtract, add = np.multiply, np.subtract, np.add
-        sqrt, divide, equal, less, putmask = np.sqrt, np.divide, np.equal, np.less, _PUTMASK
-        for c, product, hc_out, hc, new in self.sweeps[:steps]:
-            # H[l, k] + sum_{j != k, l} H[l, j] c[j], and on l = k sum_l H[k, l] c[l]
-            matvec(c, product)
-            if take is not None:
-                take(own, None, hc_out, "clip")
+        """Sweep steps times from cols[1]: fill cols[2 : steps + 2], their products and sums."""
+        (hk, hk4, sign2, gap2, abs_gap, vertex, tie_sign,
+         first, second, work, mask, matvec, take, own) = self.bound
+        multiply, subtract, add, sqrt, divide, equal, less, putmask = _SWEEP_CALLS
+        for c, product, hc, new, new_product, hc_out in self.sweeps[:steps]:
+            # with product = B c: H[l, k] + sum_{j != k, l} H[l, j] c[j], and
+            # on l = k sum_l H[k, l] c[l], whose entry k is hc
             multiply(hk, c, second)
             subtract(hc, second, second)
             multiply(c, second, second)
@@ -454,27 +506,32 @@ class _Stack:
                 putmask(new, mask, tie_sign)
             less(first, _ZERO, mask)
             putmask(new, mask, vertex)
-        c, product, hc_out = self.ends[steps + 1]
-        matvec(c, product)
-        if take is not None:
-            take(own, None, hc_out, "clip")
+            matvec(new, new_product)
+            if take is not None:
+                take(own, None, hc_out, "clip")
 
 
-def _spread(a: np.ndarray, b: np.ndarray, change=None, level=None) -> tuple:
-    """|b - a| and RELATIVE_TOL * |b + a| / 2, written into change and level if given."""
-    change = np.subtract(b, a, change)
-    level = np.add(b, a, level)
-    np.absolute(change, change)
-    np.multiply(np.absolute(level, level), _HALF_TOL, level)
-    return change, level
+def _spread(a: np.ndarray, b: np.ndarray, spread: np.ndarray, change, level) -> None:
+    """Write |b - a| into change and RELATIVE_TOL * |b + a| / 2 into level, rows of spread.
+
+    One np.absolute takes every row of spread, so a difference written into
+    another row of it beforehand is made absolute as well.
+    """
+    np.subtract(b, a, change)
+    np.add(b, a, level)
+    np.absolute(spread, spread)
+    np.multiply(level, _HALF_TOL, level)
 
 
-def _moved(a: np.ndarray, b: np.ndarray, change=None, level=None, out=None) -> np.ndarray:
+def _moved(a: np.ndarray, b: np.ndarray, spread=None, out=None) -> np.ndarray:
     """Where a coefficient fails its step test from a to b (stop rule 1); nan passes.
 
-    change and level are _spread's buffers, overwritten.
+    spread is a buffer of two rows of a's shape, overwritten.
     """
-    change, level = _spread(a, b, change, level)
+    if spread is None:
+        spread = np.empty((2,) + a.shape)
+    change, level = spread
+    _spread(a, b, spread, change, level)
     return np.greater(np.subtract(change, level, change), _NOISE, out)
 
 
@@ -504,13 +561,14 @@ def _sweep(
     if scale:
         np.ldexp(a, -scale, out=a)
         norm2 = np.einsum("ij,ij->", a, a)
-    residual_bound = _RESIDUAL_TOL * np.sqrt(norm2)
+    residual_bound = _RESIDUAL_TOL * math.sqrt(norm2)
     rotations = _rotate_tied_groups(a)
     # The sweeps read the block with its diagonal zeroed, the residual gate
-    # with it put back, both in place, so that a solve holds one copy of the
-    # block.
-    diag = a.diagonal().copy()
-    np.fill_diagonal(a, 0.0)
+    # with it put back, both in place through a view of the diagonal, so
+    # that a solve holds one copy of the block.
+    diagonal = a.reshape(-1)[:: a.shape[0] + 1]
+    diag = diagonal.copy()
+    diagonal[...] = 0.0
     results: list[PerturbationSolution | None] = [None] * states.size
 
     def finish(j: int, column, e: float, it: int, status, detail=None) -> None:
@@ -533,18 +591,10 @@ def _sweep(
     # arithmetic warnings are suppressed rather than surfaced per sweep.  The
     # vertex roots of tiny couplings in _Stack can overflow too.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # the last two committed columns and their sums_l H[k, l] c[l], with
-        # c[k] = 1.  nan never compares equal, so no column can match the
-        # first one on the first sweep.  The sums are -0.0, as x + -0.0 is x
-        # for every x: the first energy is H[k, k] to the bit.
-        two_cols = np.zeros((2, states.size, a.shape[0]))
-        two_cols[0] = np.nan
-        two_cols[1, np.arange(states.size), states] = 1.0
-        carry = two_cols, np.full((2, states.size), -0.0)
-        st = _Stack(a, diag, states, np.arange(states.size), states.copy(), carry, cap)
+        st = _Stack(a, diag, states, np.arange(states.size), states.copy(), None, cap)
         it = ran = 0  # ran: sweeps since the last stop
         while True:
-            steps = min(len(st.sweeps), cap - it, _BATCH if ran < _LONG_AFTER else _LONG_BATCH)
+            steps = min(st.steps, cap - it, _BATCH if ran < _LONG_AFTER else _LONG_BATCH)
             st.run(steps)
 
             # The stop rules on every sweep of the batch, one row per sweep.
@@ -553,17 +603,23 @@ def _sweep(
             # guard on the whole batch.  Only if one of them holds is every
             # column's first stop found.
             it += steps
-            v = st.batch(steps)
-            cols, hcs, news, olds, e0, e1 = v.cols, v.hcs, v.news, v.olds, v.e0, v.e1
-            np.add(st.ek, v.sums, v.energies)
-            _spread(e0, e1, v.change, v.level)
-            converged = np.less_equal(v.change, v.level, v.converged)
-            # Equal columns have equal sums, whichever stack width computed
-            # them, so only those columns are compared whole; so are those
-            # whose sum overflowed to nan, which needs |H[k, l]| near 1e300.
-            cycling = np.equal(v.new_sums, v.old_sums, v.cycling)
-            np.logical_or(cycling, np.isnan(v.new_sums, v.flag), cycling)
-            may_converge = np.logical_or.reduce(converged, None)
+            (cols, news, olds, sums, new_sums, old_sums, energies, e0, e1,
+             spread, pair, change, level, sum_change, margin, tested,
+             converged, cycling, flag, watch, watched, w0, w1,
+             head, last, carried_head, carried_last) = st.batch(steps)
+            np.add(st.ek, sums, energies)
+            np.subtract(new_sums, old_sums, sum_change)
+            _spread(e0, e1, spread, change, level)  # and |sum_change|
+            np.less_equal(change, level, converged)
+            # One reduction looks for a candidate of either test.  The energy
+            # test holds only where change - level is <= 0 or nan.  Equal
+            # columns have equal sums, whichever stack width computed them,
+            # so a column can cycle only where its sum's change over two
+            # sweeps is 0, or nan, as where a sum overflowed to nan, which
+            # needs |H[k, l]| near 1e300.
+            np.subtract(change, level, margin)
+            candidate = not np.minimum.reduce(tested, None) > 0.0
+            may_converge = candidate and np.logical_or.reduce(converged, None)
             if may_converge:
                 # Each column's witness, an entry that failed its step test
                 # when the column was last tested whole, is tested on every
@@ -571,8 +627,8 @@ def _sweep(
                 # the rest are tested whole, and a column that fails there
                 # names a new witness.  A nan witness passes its step test,
                 # as it would in the whole column.
-                st.cols.take(v.watch, None, v.watched, "clip")
-                moved = _moved(v.w0, v.w1, v.change, v.level, v.flag)
+                st.cols.take(watch, None, watched, "clip")
+                moved = _moved(w0, w1, pair, flag)
                 np.logical_and(converged, np.logical_not(moved, moved), converged)
                 may_converge = np.logical_or.reduce(converged, None)
                 if may_converge:
@@ -582,9 +638,11 @@ def _sweep(
                     converged[hit] = ~failed
                     st.refute(hit[1][failed], moved[failed].argmax(axis=1))
                     may_converge = not failed.all()
-            may_cycle = np.logical_or.reduce(cycling, None)
+            may_cycle = candidate and not np.minimum.reduce(sum_change, None) > 0.0
             stopping = may_converge or may_cycle or it == cap or not within_guard(news)
             if stopping:
+                np.equal(new_sums, old_sums, cycling)
+                np.logical_or(cycling, np.isnan(new_sums, flag), cycling)
                 if may_cycle:
                     hit = np.nonzero(cycling)
                     cycling[hit] = (news[hit] == cols[:-2][hit]).all(axis=1)
@@ -592,22 +650,25 @@ def _sweep(
                 stop = converged | cycling | blown
                 if it == cap:
                     stop[-1] = True
-                done = stop.any(axis=0)
-                stopping = done.any()
+                done = np.logical_or.reduce(stop, 0)
+                stopping = np.logical_or.reduce(done, None)
             if not stopping:
+                # the last two columns, with their sums, and for one column
+                # their products, start the next batch
                 ran += steps
-                st.cols[:2], st.hcs[:2] = cols[-2:], hcs[-2:]
+                head[...] = last
+                carried_head[...] = carried_last
                 continue
 
             # Each column stops at its first stopping sweep; later sweeps are dropped.
             first = stop.argmax(axis=0)
-            for j in np.flatnonzero(done):
+            for j in done.nonzero()[0]:
                 s = first[j]
                 sweep = int(it - steps + s + 1)
                 if converged[s, j]:
-                    np.fill_diagonal(a, diag)
+                    diagonal[...] = diag
                     residual = residual_rows(a, e1[s, j], news[s, j])
-                    np.fill_diagonal(a, 0.0)
+                    diagonal[...] = 0.0
                     if residual <= residual_bound:
                         finish(j, news[s, j], e1[s, j], sweep, SolveStatus.CONVERGED)
                     else:  # nan-safe
@@ -621,14 +682,14 @@ def _sweep(
                            f"coefficient magnitude exceeded {DIVERGENCE_GUARD:.1e}")
                 else:
                     finish(j, news[s, j], e1[s, j], sweep, SolveStatus.MAX_ITERATIONS_EXCEEDED)
-            keep = ~done
-            if not keep.any():
+            if np.logical_and.reduce(done, None):
                 return results
-            # A stop rebuilds the stack for the running rows.  Copy them out,
-            # then drop the old stack and the views of its history before the
-            # next one is built, so that no buffer is held twice.
-            ran = 0
+            # A stop rebuilds the stack for the running rows, which only a
+            # stack of more columns has.  Copy them out, then drop the old
+            # stack and the views of its history before the next one is
+            # built, so that no history is held twice.
+            ran, keep = 0, ~done
             ks, slots, witness = st.ks[keep], st.slots[keep], st.witness[keep]
-            carry = cols[-2:, keep], hcs[-2:, keep]
-            del st, v, cols, news, olds
+            carry = last[:, keep], carried_last[:, keep]
+            del st, cols, news, olds, head, last
             st = _Stack(a, diag, ks, slots, witness, carry, cap - it)

@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_iterate
@@ -433,6 +433,34 @@ class TestSolveAll:
         iterate_solve(h, 0)
         assert called and set(called) == {run.__code__}
 
+    def test_one_product_per_sweep(self):
+        # a one-column solve multiplies the start column by the block once
+        # and every column it computes once: a batch hands the product of
+        # its last column to the next.  State 4 of quartic-grid's beta 1.0
+        # runs to the cap of 300 in 16 batches of 16 sweeps and one of 44.
+        # A guard stop on the first sweep reports the start energy, here
+        # H[0, 0] = -0.0, with its sign, where row 0 of the start column's
+        # product is +0.0
+        products = []
+
+        def record(frame, event, arg):
+            if event == "c_call" and arg.__name__ == "dot":
+                products.append(arg.__self__.shape)
+
+        h = quartic_grid(1.0)
+        guarded = np.array([[-0.0, 1e-20], [-1e30, 1.0]])
+        sys.setprofile(record)
+        try:
+            capped = iterate_solve(h, 4, max_iterations=300)
+            diverged = iterate_solve(guarded, 0)
+        finally:
+            sys.setprofile(None)
+        assert (capped.status, capped.iterations) == (SolveStatus.MAX_ITERATIONS_EXCEEDED, 300)
+        assert (diverged.status, diverged.iterations) == (SolveStatus.ALGORITHM_FAILURE, 1)
+        # the guard's column is swept to the end of its first batch of 16
+        assert products == [(50, 50)] * 301 + [(2, 2)] * 17
+        assert diverged.energy == 0.0 and math.copysign(1.0, diverged.energy) == -1.0
+
     def test_cycle_on_the_first_sweep_after_a_column_stops(self):
         # States 4 and 2 converge at sweeps 17 and 23, so the other columns
         # move to a new stack after sweep 32.  State 1 repeats its sweep-31
@@ -736,6 +764,29 @@ class TestAgainstReference:
             ref = reference_iterate(h, k, cap)
             self.assert_same(block[k], ref)
             self.assert_same(iterate_solve(h, k, max_iterations=cap), ref)
+
+    @given(
+        st.floats(min_value=0.1, max_value=1.0),
+        st.integers(min_value=20, max_value=100),
+        st.integers(min_value=0, max_value=7),
+        st.integers(min_value=1, max_value=600),
+    )
+    # quartic-grid's own states: beta 0.1 state 0 converges at sweep 81,
+    # beta 0.5 state 7 cycles at 255 and beta 1.0 state 6 at 292, and beta
+    # 1.0 state 4 runs to any cap
+    @example(0.1, 100, 0, 600)
+    @example(0.5, 100, 7, 600)
+    @example(1.0, 100, 6, 600)
+    @example(1.0, 100, 4, 600)
+    @settings(max_examples=25, deadline=None)
+    def test_property_quartic_one_column(self, beta, dim, state, cap):
+        # the one-column solve of quartic-grid's kind of matrix, the
+        # transformed quartic at the default a2, at random beta, dimension
+        # and cap: random caps end runs at every position of a batch
+        h = build_quartic_synthetic(beta, default_quartic_a2(beta), dim)
+        ref = reference_iterate(h, state, cap)
+        self.assert_same(iterate_solve(h, state, max_iterations=cap), ref)
+        self.assert_same(iterate_solve_all(h, max_iterations=cap)[state], ref)
 
 
 @pytest.mark.parametrize("beta, state", [(b, k) for b in QUARTIC_GRID_SWEEPS for k in range(8)])
