@@ -124,12 +124,16 @@ is outside or nan.  Most batches stop no column, so a batch first runs a
 quick test.  It writes the energies, their changes |E - E_prev|, their
 levels RELATIVE_TOL * |E + E_prev| / 2 and the changes of the sums over
 two sweeps into buffers made once per batch length, the last three rows
-of one contiguous block that one np.absolute takes whole.  One reduction,
+of one contiguous block that one np.absolute takes whole; the energies'
+diagonal entries are stored once per length at the energies' shape, so
+that their sum does not broadcast over the sweeps.  One reduction,
 the least of the sums' changes and of the margins change - level, then
 decides both tests: where it is above 0, no energy passes its test and no
 two sums are equal or nan.  Only otherwise are the energy test's flags
 reduced, its candidates tested at their witnesses and then whole, and the
-sums' changes reduced alone.  Then the cap and, if nothing holds yet,
+sums' changes reduced alone; one comparison, converged > moved, clears
+the flags of the columns whose witness moved.  Then the cap and, if
+nothing holds yet,
 within_guard.  Flags are reduced with np.logical_or.reduce, not
 ndarray.any, which runs a Python wrapper.  Only a batch with a candidate
 left goes on to the full pass, which flags the equal sums, tests the
@@ -153,11 +157,15 @@ the sweep starts and rebuilt when a column stops: the constants of the
 update, a column history sized for a 64-sweep batch, every intermediate
 array, and the views each sweep reads and writes, bound once, so that a
 one-column sweep is 13 numpy calls (15 on a block with an exact tie), a
-wider one 14 (16), none of them through an __array_function__ dispatcher.
-A stack of one column selects its row k with an int, so that its
-constants come out as 1-D rows, with no reshape, and without an exact tie
-the sign rule is one np.copysign: it is built in about 30 numpy calls and
-one view per history column and array.  Around its sweeps, a one-column
+wider one 15 (17), none of them through an __array_function__ dispatcher.
+A stack binds the views of a 16-sweep batch when it is built and those of
+a 64-sweep batch when it first runs one, which most stacks never do: 12
+of the 24 quartic-grid solves, and 12 of the 15 stacks of
+iterate_solve_all(build_linear_true(0.5, 30)), stop first.  A stack of
+one column selects its row k with an int, so that its constants come out
+as 1-D rows, with no reshape, and without an exact tie the sign rule is
+one np.copysign: it is built in about 30 numpy calls and one view per
+history column and array of a short batch.  Around its sweeps, a one-column
 solve pays the checks of its input, the breadth-first search for its
 block, the copy of the block and one stack, and per batch the quick
 test's nine calls and within_guard's two reductions, the carry's two
@@ -177,16 +185,26 @@ where row k of the product is +0.0.  The -0.0 could change only the sign
 of a zero y[l] whose product entry is -0.0 too, which a BLAS sum started
 at +0.0 never is.
 Each elementwise product, H[k, l] * c, 4 H[k, l] * y and 2 s * y, is its
-own call on factors stored at the shape of the columns: numpy takes about
-three times as long over a call that broadcasts its operands.  A stack of
+own call on factors stored at the shape of the columns, and so is the
+difference sum_l H[k, l] c[l] - H[k, l] c[l]: numpy runs a call whose
+operands broadcast as one inner loop per row, and on stacks of 11 and
+30 columns of 30 entries that took about twice as long.  A stack of
 one column, which is every iterate_solve and an iterate_solve_all block
 once one column is left running, works on 1-D rows, writes each sweep's
 product into a slot of its own through the dot method of the block, bound
 once per stack, and reads the sum through a 0-d view of its entry k, with
 no copy.  A wider stack hands its m x n rows to np.matvec, a gufunc, as
-they are, and gathers their entries k with the bound take method of the
-product, one call more: np.take, through its dispatcher, took three times
-as long at m = n = 30.  Both
+they are, gathers their entries k with the bound take method of the
+product (np.take, through its dispatcher, took three times as long at
+m = n = 30), and copies each sum across its row of an m x n tile with
+the tile's __setitem__, two calls more.  That copy broadcasts too, but a
+copy pays much less per row than an arithmetic call: on a 2-vCPU host,
+at m = 11 and n = 30 the take and the copy took 0.34 and 0.39 us where
+the subtraction with the m x 1 sums took 1.20 us against 0.69 us with
+the tile, and at m = 100 and n = 400, 0.41 and 13.2 us where the
+subtraction took 41.6 us against 12.0 us.  A take of the whole tile, one
+call, was faster on the small stack (0.62 us) but took 31.2 us on the
+large one, where the product is already most of the sweep.  Both
 products run the BLAS gemv kernel for each column, so a column is rounded
 the same whichever stack it runs in.  At 14 calls, the cost left in a
 one-column sweep was not their number but the __array_function__
@@ -347,12 +365,16 @@ class _Stack:
     one column keeps a product per history column and reads its sums
     through 0-d views of their entries k; the products are what it
     carries, the rows a batch copies to the front for the next.  A wider
-    stack keeps one product, which a batch leaves holding its last column's,
-    gathers the sums into hcs with the product's take, and carries hcs.
-    Both run BLAS gemv for each column, so a column is rounded alike
+    stack keeps one product, gathers the sums into hcs with the product's
+    take and copies each column's across its row of an m x n tile, which
+    the next sweep reads, so that no operand of a sweep broadcasts; a batch
+    leaves the product and the tile holding its last column's, and carries
+    hcs.  Both run BLAS gemv for each column, so a column is rounded alike
     whether it runs alone or not.  The views of each sweep are bound once,
-    and every ufunc writes into a buffer; so do the stop rules, through the
-    views that batch binds once per batch length.  witness[j] is the entry
+    those of a short batch when the stack is built and the rest when its
+    first long batch comes (bind), and every ufunc writes into a buffer; so
+    do the stop rules, through the views that batch binds once per batch
+    length.  witness[j] is the entry
     of column j that the step test reads first, one that failed when the
     column was last read whole (refute names new ones), and watch holds its
     flat index in every history column.
@@ -403,45 +425,56 @@ class _Stack:
         # and about _BATCH_ENTRIES coefficients.
         self.steps = steps = min(_LONG_BATCH, max(1, _BATCH_ENTRIES // (m * n)), cap)
         self.cols = np.empty((steps + 2, m, n))
-        rows = list(self.cols.reshape((-1,) + gap.shape))
+        self.rows = self.cols.reshape((-1,) + gap.shape)
         # Column i of the history has its product with a and its sum hcs[i].
         # One column keeps a product per history column, and its sums are
         # 0-d views of their entries k, so hcs is a strided view of them.
-        # More columns share one product, gather its entries k into hcs and
-        # read them as m x 1 columns where they meet the rows.  The views of
-        # the history are made once, by iterating over it.
+        # More columns share one product, gather its entries k into hcs as
+        # m x 1 columns and copy each across its row of an m x n tile, which
+        # the next sweep reads: numpy runs a call whose operands broadcast as
+        # one loop per row, and a copy pays for that far less than an
+        # arithmetic call does.
         if m == 1:
             products = np.empty((steps + 2, n))
             self.hcs, self.carried = products[:, own : own + 1], products
-            outs, hc_outs = list(products), [None] * (steps + 2)
-            sums = [p[own, ...] for p in products]
-            matvec, take = a.dot, None
+            matvec, take, fill, sums_at = a.dot, None, None, None
+
+            def slot_views(count: int) -> tuple:
+                kept = products[: count + 2]
+                return list(kept), [p[own, ...] for p in kept], [None] * (count + 2)
         else:
-            self.hcs = self.carried = np.empty((steps + 2, m))
-            product = np.empty((m, n))
-            outs, hc_outs = [product] * (steps + 2), list(self.hcs)
-            sums = list(self.hcs[:, :, None])
-            matvec, take = partial(np.matvec, a), product.take
-        # sweep s reads column s + 1, its product and sum, and writes column
-        # s + 2 and its product and sum
-        self.sweeps = list(zip(rows[1:], outs[1:], sums[1:], rows[2:], outs[2:], hc_outs[2:]))
+            hcs = self.hcs = self.carried = np.empty((steps + 2, m))
+            product, tile = np.empty((2, m, n))
+            matvec, take, fill = partial(np.matvec, a), product.take, tile.__setitem__
+            sums_at = own[:, None]
+
+            def slot_views(count: int) -> tuple:
+                return [product] * (count + 2), [tile] * (count + 2), list(hcs[: count + 2, :, None])
+        self.slot_views = slot_views
+        # A stack runs short batches until it has gone _LONG_AFTER sweeps
+        # without a stop, and most stacks stop before: bind the views of a
+        # short batch now, those of a long one when it comes.
+        self.bind(min(steps, _BATCH))
         self.bound = (
             hk, 4.0 * hk, sign2, gap2, abs_gap, vertex, tie_sign,
-            first, second, work, mask, matvec, take, own,
+            first, second, work, mask, matvec, take, fill, sums_at,
         )
         # The carried column's product is made here; a batch leaves the
         # product of its last column for the next.  The carried sums are
         # written after it: the start column's stays -0.0, where row k of
         # its product is +0.0.
+        start, start_product = self.sweeps[0][:2]
         if carry is None:
             self.cols[0] = np.nan  # never equal: no cycle on the first sweep
             self.cols[1] = 0.0
-            rows[1].put(own, 1.0)
+            start.put(own, 1.0)
             carried_sums = -0.0
         else:
             self.cols[:2], carried_sums = carry
-        matvec(rows[1], outs[1])
+        matvec(start, start_product)
         self.hcs[:2] = carried_sums
+        if fill is not None:  # the tile of the carried column's sums
+            fill(Ellipsis, self.hcs[1, :, None])
 
         # the witnesses' flat indices into the history, one row per history
         # column
@@ -453,25 +486,29 @@ class _Stack:
         """The views that the stop rules of a batch of steps sweeps read, bound once per length.
 
         In order: the history, its new columns and the ones before them; the
-        sums of the columns after the first, of the new ones and of the ones
-        two sweeps before them; the energies and those before and after each
-        sweep; the spread, its first three rows, its first two, each of its
-        four rows and its last two; the flags converged, cycling and flag;
-        the witnesses' indices, their values and those before and after each
+        states' diagonal entries H[k, k], a row per sweep; the sums of the
+        columns after the first, of the new ones and of the ones two sweeps
+        before them; the energies and those before and after each sweep; the
+        spread, its first three rows, its first two, each of its four rows
+        and its last two; the flags converged, cycling and flag; the
+        witnesses' indices, their values and those before and after each
         sweep; and for the carry, the first two history columns and the last
         two, and the same of carried.  The quick test's buffers, a row per
         sweep, are made for each length, so that each of its calls runs over
-        one contiguous block.
+        one contiguous block, and so are the diagonal entries, so that the
+        energies' sum does not broadcast.
         """
         views = self.batches.get(steps)
         if views is None:
             m = self.ks.size
             cols, hcs, carried = self.cols[: steps + 2], self.hcs[: steps + 2], self.carried
-            energies, watched = np.empty((2, steps + 1, m))
+            ek, energies, watched = np.empty((3, steps + 1, m))
+            ek[...] = self.ek
             spread = np.empty((4, steps, m))
             views = self.batches[steps] = (
-                cols, cols[2:], cols[1:-1], hcs[1:], hcs[2:], hcs[:-2],
-                energies, energies[:-1], energies[1:], spread[:3], spread[:2], *spread, spread[2:],
+                cols, cols[2:], cols[1:-1], ek,
+                hcs[1:], hcs[2:], hcs[:-2], energies, energies[:-1], energies[1:],
+                spread[:3], spread[:2], *spread, spread[2:],
                 *np.empty((3, steps, m), dtype=bool), self.watch[1 : steps + 2], watched,
                 watched[:-1], watched[1:], self.cols[:2], cols[-2:], carried[:2],
                 carried[steps : steps + 2],
@@ -483,10 +520,22 @@ class _Stack:
         self.witness[columns] = entries
         np.add(self.history_rows, self.witness, self.watch)
 
+    def bind(self, steps: int) -> None:
+        """Bind the views that the first steps sweeps of a batch read and write.
+
+        Sweep s reads column s + 1, its product and sum, and writes column
+        s + 2 and its product and sum.
+        """
+        rows = list(self.rows[: steps + 2])
+        outs, sums, hc_outs = self.slot_views(steps)
+        self.sweeps = list(zip(rows[1:], outs[1:], sums[1:], rows[2:], outs[2:], hc_outs[2:]))
+
     def run(self, steps: int) -> None:
         """Sweep steps times from cols[1]: fill cols[2 : steps + 2], their products and sums."""
+        if steps > len(self.sweeps):
+            self.bind(steps)
         (hk, hk4, sign2, gap2, abs_gap, vertex, tie_sign,
-         first, second, work, mask, matvec, take, own) = self.bound
+         first, second, work, mask, matvec, take, fill, sums_at) = self.bound
         multiply, subtract, add, sqrt, divide, equal, less, putmask = _SWEEP_CALLS
         for c, product, hc, new, new_product, hc_out in self.sweeps[:steps]:
             # with product = B c: H[l, k] + sum_{j != k, l} H[l, j] c[j], and
@@ -508,7 +557,8 @@ class _Stack:
             putmask(new, mask, vertex)
             matvec(new, new_product)
             if take is not None:
-                take(own, None, hc_out, "clip")
+                take(sums_at, None, hc_out, "clip")
+                fill(Ellipsis, hc_out)  # the tile of the new column's sums
 
 
 def _spread(a: np.ndarray, b: np.ndarray, spread: np.ndarray, change, level) -> None:
@@ -603,11 +653,11 @@ def _sweep(
             # guard on the whole batch.  Only if one of them holds is every
             # column's first stop found.
             it += steps
-            (cols, news, olds, sums, new_sums, old_sums, energies, e0, e1,
+            (cols, news, olds, ek, sums, new_sums, old_sums, energies, e0, e1,
              spread, pair, change, level, sum_change, margin, tested,
              converged, cycling, flag, watch, watched, w0, w1,
              head, last, carried_head, carried_last) = st.batch(steps)
-            np.add(st.ek, sums, energies)
+            np.add(ek, sums, energies)
             np.subtract(new_sums, old_sums, sum_change)
             _spread(e0, e1, spread, change, level)  # and |sum_change|
             np.less_equal(change, level, converged)
@@ -628,16 +678,16 @@ def _sweep(
                 # names a new witness.  A nan witness passes its step test,
                 # as it would in the whole column.
                 st.cols.take(watch, None, watched, "clip")
-                moved = _moved(w0, w1, pair, flag)
-                np.logical_and(converged, np.logical_not(moved, moved), converged)
+                # converged and not moved
+                np.greater(converged, _moved(w0, w1, pair, flag), converged)
                 may_converge = np.logical_or.reduce(converged, None)
                 if may_converge:
                     hit = np.nonzero(converged)
                     moved = _moved(olds[hit], news[hit])
-                    failed = moved.any(axis=1)
+                    failed = np.logical_or.reduce(moved, 1)
                     converged[hit] = ~failed
                     st.refute(hit[1][failed], moved[failed].argmax(axis=1))
-                    may_converge = not failed.all()
+                    may_converge = not np.logical_and.reduce(failed, None)
             may_cycle = candidate and not np.minimum.reduce(sum_change, None) > 0.0
             stopping = may_converge or may_cycle or it == cap or not within_guard(news)
             if stopping:

@@ -16,6 +16,7 @@ from perturba.experiments import exact_2d_energy
 from perturba.hamiltonians import (
     build_2d_synthetic,
     build_2d_true,
+    build_linear_synthetic,
     build_linear_true,
     build_quartic_synthetic,
     build_quartic_true,
@@ -433,6 +434,33 @@ class TestSolveAll:
         iterate_solve(h, 0)
         assert called and set(called) == {run.__code__}
 
+    def test_no_sweep_operand_broadcasts(self, monkeypatch):
+        # numpy runs a call whose operands differ in shape as one inner loop
+        # per row, several times slower than one loop over the whole block:
+        # every array a sweep call reads has the shape of the array it
+        # writes, or is 0-d, as the sum of a one-column stack is.  The
+        # linear-frontier block starts as a stack of 30 columns
+        calls = []
+
+        def recorded(call, written):
+            def record(*args):
+                operands = [x.shape for x in args if isinstance(x, np.ndarray)]
+                calls.append((args[written].shape, operands))
+                return call(*args)
+
+            return record
+
+        monkeypatch.setattr(iterative, "_SWEEP_CALLS", tuple(
+            recorded(call, 0 if call is iterative._PUTMASK else -1)
+            for call in iterative._SWEEP_CALLS
+        ))
+        h = build_linear_true(0.5, 30)
+        iterate_solve_all(h, max_iterations=64)
+        iterate_solve(h, 12, max_iterations=64)
+        assert {(30, 30), (30,)} <= {written for written, _ in calls}
+        for written, operands in calls:
+            assert all(shape in (written, ()) for shape in operands), (written, operands)
+
     def test_one_product_per_sweep(self):
         # a one-column solve multiplies the start column by the block once
         # and every column it computes once: a batch hands the product of
@@ -787,6 +815,30 @@ class TestAgainstReference:
         ref = reference_iterate(h, state, cap)
         self.assert_same(iterate_solve(h, state, max_iterations=cap), ref)
         self.assert_same(iterate_solve_all(h, max_iterations=cap)[state], ref)
+
+    @given(
+        st.floats(min_value=0.1, max_value=1.0),
+        st.integers(min_value=2, max_value=40),
+        st.one_of(st.none(), st.floats(min_value=-1.0, max_value=1.0)),
+        st.integers(min_value=1, max_value=600),
+    )
+    # linear-frontier's matrix: its stack of 30 columns narrows through 12
+    # stacks by sweep 600, tests its columns at their witnesses in 38
+    # batches and reads them whole in 15
+    @example(0.5, 30, None, 600)
+    @settings(max_examples=50, deadline=None)
+    def test_property_linear_all_states(self, beta, dim, a, cap):
+        # the wide stacks of linear-frontier's kind of matrix, the linear
+        # oscillator true (a is None) or transformed, at random beta,
+        # dimension and cap: every state up to dimension 12, and a few of
+        # a larger block, against the reference and the one-column solve
+        h = build_linear_true(beta, dim) if a is None else build_linear_synthetic(beta, a, dim)
+        block = iterate_solve_all(h, max_iterations=cap)
+        states = range(dim) if dim <= 12 else {0, dim // 3, dim // 2, 2 * dim // 3, dim - 1}
+        for k in states:
+            ref = reference_iterate(h, k, cap)
+            self.assert_same(block[k], ref)
+            self.assert_same(iterate_solve(h, k, max_iterations=cap), ref)
 
 
 @pytest.mark.parametrize("beta, state", [(b, k) for b in QUARTIC_GRID_SWEEPS for k in range(8)])

@@ -4,12 +4,16 @@ Both src/perturba packages are loaded into one interpreter, under the names
 perturba_parent and perturba_change, so that the two sides share the
 process, its allocator and its BLAS threads: a per-process offset of a few
 percent, which separate benchmark runs can show, cancels here.  Each of 31
-rounds times the five phases on both sides, the side that goes first
+rounds times the six phases on both sides, the side that goes first
 alternating from round to round:
 
 - quartic-grid: iterate_solve on states 0-7 of the dim-100 transformed
   quartic at beta 0.1, 0.5 and 1.0 (24 calls);
-- linear: iterate_solve_all(build_linear_true(0.5, 30));
+- linear: iterate_solve_all(build_linear_true(0.5, 30)), stacks of 30
+  columns narrowing to 11 on one 30-state block;
+- quartic-all: iterate_solve_all on the dim-100 transformed quartic at
+  beta 0.5, stacks of up to 50 columns on its two 50-state blocks, about
+  0.65 s a call on a 2-vCPU host;
 - osc2d-levels: iterate_solve on states 0-5 of build_2d_synthetic(0.4, 0.2, 39);
 - rspt: rspt_solve_all(build_linear_true(0.5, 30)), the expansion of
   linear-frontier;
@@ -65,7 +69,7 @@ def load(name: str, root: Path):
 
 
 def phases(hamiltonians, iterative, rspt, cli, out: Path) -> dict:
-    """The five phases of one side, each a function of no arguments; CSVs go to out."""
+    """The six phases of one side, each a function of no arguments; CSVs go to out."""
     grid = [
         hamiltonians.build_quartic_synthetic(b, hamiltonians.default_quartic_a2(b), 100)
         for b in (0.1, 0.5, 1.0)
@@ -75,6 +79,7 @@ def phases(hamiltonians, iterative, rspt, cli, out: Path) -> dict:
     return {
         "quartic-grid": lambda: [iterative.iterate_solve(h, k) for h in grid for k in range(8)],
         "linear": lambda: iterative.iterate_solve_all(linear),
+        "quartic-all": lambda: iterative.iterate_solve_all(grid[1]),
         "osc2d-levels": lambda: [iterative.iterate_solve(osc2d, k) for k in range(6)],
         "rspt": lambda: rspt.rspt_solve_all(linear),
         "linear-frontier": lambda: [
